@@ -13,7 +13,6 @@ The package is organized around the two stages of the method:
 Supporting pieces: a small reverse-mode autodiff engine with the
 forward-over-reverse second-order sweep needed by the gradient penalty
 (:mod:`mcgan.autodiff`), Matern random-field priors (:mod:`mcgan.priors`),
-ensemble-Kalman and polynomial-chaos baselines (:mod:`mcgan.baselines`),
 and scoring / theory-validation utilities (:mod:`mcgan.metrics`).
 """
 

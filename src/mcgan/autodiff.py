@@ -34,6 +34,7 @@ __all__ = [
     "grad_wrt_input",
     "second_order_grad",
     "concat",
+    "leaky_relu",
 ]
 
 # Dense tensors are plain float64 ndarrays, row-major.
@@ -195,6 +196,16 @@ def _sqrt(x):
         y = np.sqrt(x.primal)
         return DualTensor(y, 0.5 * x.tangent / y)
     return np.sqrt(x)
+
+
+def _leaky_mask(x):
+    """Slope of the leaky ReLU at x; the subgradient at 0 is the positive side's."""
+    return np.where(_primal(x) >= 0.0, 1.0, LEAKY_SLOPE)
+
+
+def leaky_relu(x):
+    """max(x, LEAKY_SLOPE x) on arrays and DualTensors alike."""
+    return x * _leaky_mask(x)
 
 
 def _sum(x, axis=None, keepdims=False):
@@ -378,8 +389,7 @@ def _forward(kind: str, vals: list, aux) -> Any:
     if kind == "tanh":
         return _tanh(vals[0])
     if kind == "leaky_relu":
-        mask = np.where(_primal(vals[0]) >= 0.0, 1.0, LEAKY_SLOPE)
-        return vals[0] * mask
+        return leaky_relu(vals[0])
     if kind == "square":
         return vals[0] * vals[0]
     if kind == "sqrt":
@@ -441,9 +451,7 @@ def _vjp(kind: str, vals: list, out, cot, aux) -> list:
     if kind == "tanh":
         return [cot * (1.0 - out * out)]
     if kind == "leaky_relu":
-        # subgradient at 0 is the positive-side slope
-        mask = np.where(_primal(vals[0]) >= 0.0, 1.0, LEAKY_SLOPE)
-        return [cot * mask]
+        return [cot * _leaky_mask(vals[0])]
     if kind == "square":
         return [cot * vals[0] * 2.0]
     if kind == "sqrt":
@@ -556,8 +564,13 @@ class Tape:
 # ---------------------------------------------------------------------------
 
 
-def _reverse_sweep(tape: Tape, out_id: int, values=None) -> dict[int, np.ndarray]:
-    """Plain first-order adjoint sweep from a scalar node; no grad_of allowed."""
+def _reverse_sweep(tape: Tape, out_id: int, values=None) -> dict[int, Any]:
+    """Adjoint sweep from a scalar node, in reverse recording order.
+
+    `values` overrides the recorded values (a replay, or the dual-number replay
+    of the tangent sweep).  A gradient node is differentiated through by the
+    tangent sweep, which rejects a gradient node nested inside its own prefix.
+    """
     vals = values if values is not None else [r.value for r in tape.records]
     adj: dict[int, Any] = {out_id: np.ones(())}
     for i in range(out_id, -1, -1):
@@ -567,9 +580,11 @@ def _reverse_sweep(tape: Tape, out_id: int, values=None) -> dict[int, np.ndarray
         if rec.kind == "leaf":
             continue
         if rec.kind == "grad_of":
-            raise ValueError("nested gradient nodes are not supported")
-        cots = _vjp(rec.kind, [vals[p] for p in rec.parents], vals[i], adj[i], rec.aux)
-        for p, c in zip(rec.parents, cots):
+            cots = _tangent_leaf_grads(tape, *rec.parents, adj[i]).items()
+        else:
+            parent_vals = [vals[p] for p in rec.parents]
+            cots = zip(rec.parents, _vjp(rec.kind, parent_vals, vals[i], adj[i], rec.aux))
+        for p, c in cots:
             adj[p] = c if p not in adj else adj[p] + c
     return adj
 
@@ -593,22 +608,12 @@ def _tangent_leaf_grads(
             raise ValueError("nested gradient nodes are not supported")
         else:
             vals.append(_forward(rec.kind, [vals[p] for p in rec.parents], rec.aux))
-
-    adj: dict[int, Any] = {out_id: np.ones(())}
-    tangents: dict[int, np.ndarray] = {}
-    for i in range(out_id, -1, -1):
-        if i not in adj:
-            continue
-        rec = tape.records[i]
-        if rec.kind == "leaf":
-            a = adj[i]
-            if isinstance(a, DualTensor):
-                tangents[i] = a.tangent
-            continue
-        cots = _vjp(rec.kind, [vals[p] for p in rec.parents], vals[i], adj[i], rec.aux)
-        for p, c in zip(rec.parents, cots):
-            adj[p] = c if p not in adj else adj[p] + c
-    return tangents
+    adj = _reverse_sweep(tape, out_id, vals)
+    return {
+        i: a.tangent
+        for i, a in adj.items()
+        if tape.records[i].kind == "leaf" and isinstance(a, DualTensor)
+    }
 
 
 def _require_scalar(output: Node):
@@ -631,24 +636,7 @@ def backward(output: Node, wrt: Iterable[Node] | None = None) -> dict[int, np.nd
         if wrt is None
         else {n.idx for n in wrt}
     )
-    vals = [r.value for r in tape.records]
-    adj: dict[int, Any] = {output.idx: np.ones(())}
-    for i in range(output.idx, -1, -1):
-        if i not in adj:
-            continue
-        rec = tape.records[i]
-        if rec.kind == "leaf":
-            continue
-        if rec.kind == "grad_of":
-            out_id, x_id = rec.parents
-            contrib = _tangent_leaf_grads(tape, out_id, x_id, adj[i])
-            for lid, g in contrib.items():
-                adj[lid] = g if lid not in adj else adj[lid] + g
-            continue
-        cots = _vjp(rec.kind, [vals[p] for p in rec.parents], vals[i], adj[i], rec.aux)
-        for p, c in zip(rec.parents, cots):
-            adj[p] = c if p not in adj else adj[p] + c
-
+    adj = _reverse_sweep(tape, output.idx)
     grads: dict[int, np.ndarray] = {}
     for lid in want:
         g = adj.get(lid)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Node, Tape, backward
+from .autodiff import Node, NonFiniteError, Tape, backward
 from .priors import LatentPrior
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -154,7 +154,7 @@ def map_estimate(post: LatentPosterior, cfg: MapConfig) -> np.ndarray:
         z = rng.standard_normal(dim)
         try:
             val, grad = post.logp_and_grad(z)
-        except Exception:
+        except (NonFiniteError, ValueError):
             continue
         if not np.isfinite(val):
             continue
@@ -168,7 +168,7 @@ def map_estimate(post: LatentPosterior, cfg: MapConfig) -> np.ndarray:
                 z_try = z + step * grad
                 try:
                     v_try, g_try = post.logp_and_grad(z_try)
-                except Exception:
+                except (NonFiniteError, ValueError):
                     v_try = -np.inf
                 if np.isfinite(v_try) and v_try >= val + ARMIJO_C * step * gnorm2:
                     z, val, grad = z_try, v_try, g_try

@@ -5,23 +5,21 @@ training set, parameters mapped affinely onto [-1, 1] from prior bounds (a
 tanh head then keeps generated parameters inside the box) or z-scored like the
 state when no bounds exist (field-valued parameters).
 
-File format: magic "MCG1", version, JSON header (problem id, row count, row
-width, block split, blob manifest), then little-endian float64 blobs.
+Files use the shared checkpoint container (:func:`mcgan.nnet.write_checkpoint`)
+with kind "dataset": the header holds the problem id, block split, tanh flag
+and metadata; the normalization vectors and the rows are named blobs.
 """
 
 from __future__ import annotations
 
-import io
-import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-DATASET_MAGIC = b"MCG1"
-DATASET_VERSION = 1
+from .nnet import read_checkpoint, write_checkpoint
 
 STD_FLOOR = 1e-12
+NORM_BLOBS = ("state_shift", "state_scale", "param_shift", "param_scale")
 
 
 @dataclass
@@ -61,15 +59,13 @@ class Normalization:
             tanh = False
         return cls(s_shift, s_scale, p_shift, p_scale, tanh)
 
+    def blobs(self) -> dict[str, np.ndarray]:
+        """The four shift and scale vectors, keyed by field name, for a checkpoint."""
+        return {name: getattr(self, name) for name in NORM_BLOBS}
+
     @classmethod
-    def identity(cls, n_state: int, n_param: int = 0) -> "Normalization":
-        return cls(
-            np.zeros(n_state),
-            np.ones(n_state),
-            np.zeros(n_param),
-            np.ones(n_param),
-            False,
-        )
+    def from_blobs(cls, blobs: dict[str, np.ndarray], param_tanh: bool) -> "Normalization":
+        return cls(*(blobs[name] for name in NORM_BLOBS), param_tanh=param_tanh)
 
     def normalize(self, states: np.ndarray, params: np.ndarray) -> np.ndarray:
         q = (states - self.state_shift) / self.state_scale
@@ -142,67 +138,23 @@ class Dataset:
 
 def save_dataset(path, ds: Dataset) -> None:
     header = {
+        "kind": "dataset",
         "problem": ds.problem,
-        "n_rows": int(len(ds)),
-        "row_width": int(ds.rows.shape[1]),
         "n_state": int(ds.n_state),
         "n_param": int(ds.n_param),
         "param_tanh": bool(ds.norm.param_tanh),
         "meta": ds.meta,
-        "blobs": ["state_shift", "state_scale", "param_shift", "param_scale", "rows"],
     }
-    payload = json.dumps(header, sort_keys=True).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(DATASET_MAGIC)
-    buf.write(struct.pack("<I", DATASET_VERSION))
-    buf.write(struct.pack("<I", len(payload)))
-    buf.write(payload)
-    for blob in (
-        ds.norm.state_shift,
-        ds.norm.state_scale,
-        ds.norm.param_shift,
-        ds.norm.param_scale,
-        ds.rows,
-    ):
-        buf.write(np.ascontiguousarray(blob, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    write_checkpoint(path, header, dict(ds.norm.blobs(), rows=ds.rows))
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != DATASET_MAGIC:
-        raise ValueError("not a training dataset (bad magic)")
-    version = struct.unpack("<I", raw[4:8])[0]
-    if version != DATASET_VERSION:
-        raise ValueError(f"unsupported dataset version {version}")
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
-    off = 12 + hlen
-    n_state = header["n_state"]
-    n_param = header["n_param"]
-    n_rows = header["n_rows"]
-
-    def take(count):
-        nonlocal off
-        arr = np.frombuffer(raw[off : off + 8 * count], dtype="<f8").astype(np.float64)
-        off += 8 * count
-        return arr
-
-    norm = Normalization(
-        state_shift=take(n_state),
-        state_scale=take(n_state),
-        param_shift=take(n_param),
-        param_scale=take(n_param),
-        param_tanh=header["param_tanh"],
-    )
-    rows = take(n_rows * header["row_width"]).reshape(n_rows, header["row_width"])
+    header, blobs = read_checkpoint(path, "dataset")
     return Dataset(
         problem=header["problem"],
-        rows=rows,
-        n_state=n_state,
-        n_param=n_param,
-        norm=norm,
+        rows=blobs["rows"],
+        n_state=header["n_state"],
+        n_param=header["n_param"],
+        norm=Normalization.from_blobs(blobs, header["param_tanh"]),
         meta=header.get("meta", {}),
     )

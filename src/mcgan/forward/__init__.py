@@ -11,7 +11,7 @@ from .observe import (
     pipe_state_vector,
     pipe_synth_observations,
 )
-from .pipe import PipeConfig, PipeState, advance_pipe, haaland_friction, solve_pipe, solve_pipe_batch
+from .pipe import PipeConfig, PipeState, haaland_friction, solve_pipe, solve_pipe_batch
 
 __all__ = [
     "DarcyField",
@@ -19,7 +19,6 @@ __all__ = [
     "ObservationOp",
     "PipeConfig",
     "PipeState",
-    "advance_pipe",
     "darcy_sensor_op",
     "darcy_state_vector",
     "darcy_synth_observations",

@@ -8,8 +8,8 @@ pressure.  The leak is a point sink: once active it removes
 C_d sqrt(rho (p - p_amb)) mass per unit time from the single cell containing
 it.  Wall friction follows the Haaland correlation.
 
-The time-marching core is batched over scenarios: dataset generation and the
-ensemble filters advance thousands of member states in lockstep.
+The time-marching core is batched over scenarios: dataset generation advances
+thousands of leak scenarios in lockstep.
 """
 
 from __future__ import annotations
@@ -102,8 +102,9 @@ def haaland_friction(reynolds, rel_roughness) -> np.ndarray | float:
     re = np.asarray(reynolds, dtype=float)
     if np.any(re <= 0):
         raise ValueError("Reynolds number must be positive")
+    if not np.all(np.asarray(rel_roughness, dtype=float) >= 0):
+        raise ValueError("relative roughness must be nonnegative")
     bracket = (rel_roughness / 3.7) ** 1.11 + 6.9 / re
-    assert np.all(bracket > 0), "Haaland bracket must be positive"
     inv_sqrt = -0.45 * np.log10(bracket)
     f = 1.0 / (inv_sqrt * inv_sqrt)
     if np.isscalar(reynolds):
@@ -161,39 +162,27 @@ def _rhs(q1, q2, t, cfg: PipeConfig, leak_cell, c_d):
     return dq1, dq2, flux1[:, 0], flux1[:, -1], leak_rate
 
 
-def _march(
-    q1,
-    q2,
-    t0: float,
-    t1: float,
-    cfg: PipeConfig,
-    leak_cell,
-    c_d,
-    record_times=None,
-):
-    """Heun-stepped march from t0 to t1; optionally records at given times.
+def _march(cfg: PipeConfig, leak_cell, c_d):
+    """Heun-stepped march from the steady state at t = 0, recording at the storage times.
 
-    Returns (q1, q2, records, max relative mass imbalance).  The mass ledger
-    compares the change of total mass per step against the boundary-flux and
-    leak bookkeeping accumulated with the same stage weights.
+    Returns (q1, q2) records of shape (batch, nx, nt) and the max relative mass
+    imbalance.  The mass ledger compares the change of total mass per step
+    against the boundary-flux and leak bookkeeping accumulated with the same
+    stage weights.
     """
-    q1 = np.array(q1, dtype=float)
-    q2 = np.array(q2, dtype=float)
-    leak_cell = np.asarray(leak_cell, dtype=np.intp)
-    c_d = np.asarray(c_d, dtype=float)
-    record_times = np.asarray([] if record_times is None else record_times, dtype=float)
+    q1, q2 = cfg.steady_state(leak_cell.shape[0])
+    record_times = cfg.output_times()
     records_q1, records_q2 = [], []
     next_rec = 0
     dx = cfg.dx
-    t = float(t0)
+    t = 0.0
     worst = 0.0
-    while next_rec < record_times.size or t < t1 - 1e-12:
+    while next_rec < record_times.size:
         vmax = float(np.max(np.abs(q2 / q1))) + cfg.sound_speed
         dt_cfl = CFL_NUMBER * dx / vmax
         if not np.isfinite(dt_cfl) or dt_cfl <= 0:
             raise RuntimeError("CFL-limited time step collapsed")
-        target = record_times[next_rec] if next_rec < record_times.size else t1
-        dt = min(dt_cfl, target - t)
+        dt = min(dt_cfl, record_times[next_rec] - t)
 
         l1a, l2a, in_a, out_a, leak_a = _rhs(q1, q2, t, cfg, leak_cell, c_d)
         q1s = q1 + dt * l1a
@@ -211,11 +200,11 @@ def _march(
         worst = max(worst, float(defect))
 
         t += dt
-        if next_rec < record_times.size and t >= record_times[next_rec] - 1e-12:
+        if t >= record_times[next_rec] - 1e-12:
             records_q1.append(q1.copy())
             records_q2.append(q2.copy())
             next_rec += 1
-    return q1, q2, (records_q1, records_q2), worst
+    return np.stack(records_q1, axis=-1), np.stack(records_q2, axis=-1), worst
 
 
 def solve_pipe_batch(x_l, c_d, cfg: PipeConfig):
@@ -233,13 +222,7 @@ def solve_pipe_batch(x_l, c_d, cfg: PipeConfig):
     if np.any(c_d < 0):
         raise ValueError("discharge coefficient must be nonnegative")
     leak_cell = np.clip((x_l / cfg.dx).astype(np.intp), 0, cfg.nx - 1)
-    q1, q2 = cfg.steady_state(x_l.shape[0])
-    _, _, (rec1, rec2), worst = _march(
-        q1, q2, 0.0, cfg.horizon, cfg, leak_cell, c_d, record_times=cfg.output_times()
-    )
-    q1_out = np.stack(rec1, axis=-1)  # (batch, nx, nt)
-    q2_out = np.stack(rec2, axis=-1)
-    return q1_out, q2_out, worst
+    return _march(cfg, leak_cell, c_d)
 
 
 def solve_pipe(x_l: float, c_d: float, cfg: PipeConfig) -> PipeState:
@@ -252,11 +235,3 @@ def solve_pipe(x_l: float, c_d: float, cfg: PipeConfig) -> PipeState:
         times=cfg.output_times(),
         max_mass_imbalance=worst,
     )
-
-
-def advance_pipe(q1, q2, t0: float, t1: float, x_l, c_d, cfg: PipeConfig):
-    """Advance batched states (batch, nx) from t0 to t1; used by the filters."""
-    x_l = np.atleast_1d(np.asarray(x_l, dtype=float))
-    leak_cell = np.clip((x_l / cfg.dx).astype(np.intp), 0, cfg.nx - 1)
-    q1f, q2f, _, _ = _march(q1, q2, t0, t1, cfg, leak_cell, c_d)
-    return q1f, q2f

@@ -29,9 +29,11 @@ from .nnet import (
     init_params,
     mlp_apply,
     mlp_forward_nodes,
+    mlp_hidden,
     params_on_tape,
-    read_checkpoint,
-    write_checkpoint,
+    read_layers,
+    rmsprop_step,
+    write_layers,
 )
 
 
@@ -77,7 +79,6 @@ class Generator:
         self.n_param = n_param
         self.norm = norm
         self.meta = dict(meta or {})
-        self._head_cache: tuple | None = None
 
     @property
     def latent_dim(self) -> int:
@@ -112,48 +113,33 @@ class Generator:
     def push(self, z: np.ndarray) -> np.ndarray:
         return self.push_batch(np.asarray(z, dtype=float)[None, :])[0]
 
-    def split(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return u[..., : self.n_state], u[..., self.n_state :]
-
     # -- observed head -------------------------------------------------------
     def _head(self, idx: np.ndarray):
         """Final layer restricted to observed state columns, with their affine."""
         idx = np.asarray(idx, dtype=np.intp)
         if idx.size and idx.max() >= self.n_state:
             raise IndexError("observed indices must fall inside the state block")
-        key = idx.tobytes()
-        if self._head_cache is None or self._head_cache[0] != key:
-            w = self.params.weights[-1][:, idx].copy()
-            b = self.params.biases[-1][idx].copy()
-            self._head_cache = (
-                key, w, b,
-                self.norm.state_scale[idx].copy(),
-                self.norm.state_shift[idx].copy(),
-            )
-        return self._head_cache[1:]
-
-    def _hidden_apply(self, z: np.ndarray) -> np.ndarray:
-        h = z
-        spec = self.params.spec
-        for k in range(len(self.params.weights) - 1):
-            h = h @ self.params.weights[k] + self.params.biases[k]
-            h = np.tanh(h) if spec.hidden_activation == "tanh" else np.where(
-                h >= 0.0, h, 0.2 * h
-            )
-        return h
+        # take() keeps C order; W[:, idx] is F-ordered, and BLAS sums it in another order
+        return (
+            self.params.weights[-1].take(idx, axis=1),
+            self.params.biases[-1][idx],
+            self.norm.state_scale[idx],
+            self.norm.state_shift[idx],
+        )
 
     def observed_values(self, z: np.ndarray, idx) -> np.ndarray:
         w, b, scale, shift = self._head(idx)
-        h = self._hidden_apply(np.asarray(z, dtype=float))
+        layers = zip(self.params.weights[:-1], self.params.biases[:-1])
+        h = mlp_hidden(self.params.spec, layers, np.asarray(z, dtype=float))
         return (h @ w + b) * scale + shift
 
     def observed_state_node(self, tape: Tape, z_node: Node, idx) -> Node:
         w, b, scale, shift = self._head(idx)
-        spec = self.params.spec
-        h = z_node
-        for k in range(len(self.params.weights) - 1):
-            h = h @ tape.const(self.params.weights[k]) + tape.const(self.params.biases[k])
-            h = h.tanh() if spec.hidden_activation == "tanh" else h.leaky_relu()
+        layers = [
+            (tape.const(wk), tape.const(bk))
+            for wk, bk in zip(self.params.weights[:-1], self.params.biases[:-1])
+        ]
+        h = mlp_hidden(self.params.spec, layers, z_node)
         out = h @ tape.const(w) + tape.const(b)
         return out * tape.const(scale) + tape.const(shift)
 
@@ -175,36 +161,6 @@ def _disc_loss_node(tape, d_spec, d_nodes, real, fake, eps, gp_weight):
         penalty = (g.l2norm(axis=1) - 1.0).square().mean()
         loss = loss + penalty.scale(gp_weight)
     return loss
-
-
-def wgan_losses(
-    disc: MlpParams,
-    gen: Generator,
-    real_batch: np.ndarray,
-    z_batch: np.ndarray,
-    eps_batch: np.ndarray,
-    gp_weight: float,
-) -> tuple[float, float]:
-    """Generator and discriminator loss values for one batch (no gradients).
-
-    L_G = -mean D(G(z)); L_D = -mean D(x) + mean D(G(z)) + gp_weight *
-    mean((||grad D|| - 1)^2) at per-row interpolates eps x + (1-eps) G(z).
-    """
-    real = np.asarray(real_batch, dtype=float)
-    z = np.asarray(z_batch, dtype=float)
-    eps = np.asarray(eps_batch, dtype=float)
-    if not (real.shape[0] == z.shape[0] == eps.shape[0]):
-        raise ValueError("batches must have equal length")
-    if np.any((eps < 0) | (eps > 1)):
-        raise ValueError("interpolation draws must lie in [0, 1]")
-    fake = gen.raw_batch(z)
-    tape = Tape()
-    d_nodes = [(tape.const(w), tape.const(b)) for w, b in zip(disc.weights, disc.biases)]
-    l_d = _disc_loss_node(tape, disc.spec, d_nodes, real, fake, eps, gp_weight)
-    l_g = mlp_forward_nodes(disc.spec, d_nodes, tape.const(fake)).mean().scale(-1.0)
-    if not (np.isfinite(l_g.value) and np.isfinite(l_d.value)):
-        raise NonFiniteError("non-finite loss")
-    return float(l_g.value), float(l_d.value)
 
 
 @dataclass
@@ -263,8 +219,6 @@ def moment_convergence(
 def _apply_step(state, params, loss_node, layer_nodes):
     flat_nodes = [n for pair in layer_nodes for n in pair]
     grads = backward(loss_node, wrt=flat_nodes)
-    from .nnet import rmsprop_step
-
     rmsprop_step(state, params, [grads[n.idx] for n in flat_nodes])
 
 
@@ -328,7 +282,6 @@ def train_gan(
                 )
                 d_losses.append(float(l_d.value))
                 _apply_step(d_state, d_params, l_d, d_nodes)
-                gen._head_cache = None  # weights moved under the cache
 
                 disc_count += 1
                 if disc_count % cfg.n_disc_per_gen == 0:
@@ -347,7 +300,6 @@ def train_gan(
                     )
                     g_losses.append(float(l_g.value))
                     _apply_step(g_state, g_params, l_g, g_nodes)
-                    gen._head_cache = None
         except NonFiniteError as exc:
             raise TrainingDiverged(epoch) from exc
 
@@ -371,46 +323,17 @@ def train_gan(
 def save_generator(path, gen: Generator) -> None:
     header = {
         "kind": "generator",
-        "spec": {
-            "widths": list(gen.params.spec.widths),
-            "hidden_activation": gen.params.spec.hidden_activation,
-            "output_activation": gen.params.spec.output_activation,
-        },
         "n_state": gen.n_state,
         "n_param": gen.n_param,
         "param_tanh": bool(gen.norm.param_tanh),
         "meta": gen.meta,
     }
-    blobs = {}
-    for i, (w, b) in enumerate(zip(gen.params.weights, gen.params.biases)):
-        blobs[f"w{i:03d}"] = w
-        blobs[f"b{i:03d}"] = b
-    blobs["state_shift"] = gen.norm.state_shift
-    blobs["state_scale"] = gen.norm.state_scale
-    blobs["param_shift"] = gen.norm.param_shift
-    blobs["param_scale"] = gen.norm.param_scale
-    write_checkpoint(path, header, blobs)
+    write_layers(path, gen.params, header, gen.norm.blobs())
 
 
 def load_generator(path) -> Generator:
-    header, blobs = read_checkpoint(path)
-    if header.get("kind") != "generator":
-        raise ValueError("checkpoint does not hold a generator")
-    sp = header["spec"]
-    spec = MlpSpec(tuple(sp["widths"]), sp["hidden_activation"], sp["output_activation"])
-    nlayers = len(spec.widths) - 1
-    params = MlpParams(
-        spec,
-        [blobs[f"w{i:03d}"].copy() for i in range(nlayers)],
-        [blobs[f"b{i:03d}"].copy() for i in range(nlayers)],
-    )
-    norm = Normalization(
-        state_shift=blobs["state_shift"].copy(),
-        state_scale=blobs["state_scale"].copy(),
-        param_shift=blobs["param_shift"].copy(),
-        param_scale=blobs["param_scale"].copy(),
-        param_tanh=header["param_tanh"],
-    )
+    params, header, blobs = read_layers(path, "generator")
+    norm = Normalization.from_blobs(blobs, header["param_tanh"])
     return Generator(
         params, header["n_state"], header["n_param"], norm, header.get("meta", {})
     )

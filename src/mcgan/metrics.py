@@ -14,8 +14,7 @@ Two families of checks live here besides plain scores:
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,11 +201,6 @@ def randomized_bound_trials(
         "violations": violations,
         "worst_margin": float(worst_margin),
     }
-
-
-def write_bound_report(path, result: BoundConstants) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(result), fh, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Node, NonFiniteError, Tape
+from .autodiff import Node, NonFiniteError, Tape, leaky_relu
 
 HIDDEN_ACTIVATIONS = ("tanh", "leaky_relu")
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
@@ -90,11 +90,24 @@ def init_params(spec: MlpSpec, rng: np.random.Generator) -> MlpParams:
     return MlpParams(spec, weights, biases)
 
 
-def _activate(h: Node, name: str) -> Node:
+def _activate(h, name: str):
+    """Apply the named activation to a numpy array or a tape node."""
     if name == "tanh":
-        return h.tanh()
+        return h.tanh() if isinstance(h, Node) else np.tanh(h)
     if name == "leaky_relu":
-        return h.leaky_relu()
+        return h.leaky_relu() if isinstance(h, Node) else leaky_relu(h)
+    return h
+
+
+def mlp_hidden(spec: MlpSpec, layers, x):
+    """Hidden features: affine map then the hidden activation, for each (w, b).
+
+    The same loop serves numpy arrays (raw weight arrays) and tape nodes
+    (weight nodes on the input's tape).
+    """
+    h = x
+    for w, b in layers:
+        h = _activate(h @ w + b, spec.hidden_activation)
     return h
 
 
@@ -128,27 +141,19 @@ def params_on_tape(params: MlpParams, tape: Tape) -> list[tuple[Node, Node]]:
 def mlp_forward_nodes(
     spec: MlpSpec, layer_nodes: list[tuple[Node, Node]], x: Node
 ) -> Node:
-    """Forward pass with parameters already living on the tape."""
-    h = x
-    last = len(layer_nodes) - 1
-    for k, (w, b) in enumerate(layer_nodes):
-        h = h @ w + b
-        h = _activate(h, spec.hidden_activation if k < last else spec.output_activation)
-    return h
+    """Forward pass with parameters already living on the tape.
+
+    Given raw arrays for the layers and the input, it is the tape-free pass.
+    """
+    *hidden, (w, b) = layer_nodes
+    return _activate(mlp_hidden(spec, hidden, x) @ w + b, spec.output_activation)
 
 
 def mlp_apply(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Tape-free forward pass for sampling loops where gradients are not needed."""
-    h = np.asarray(x, dtype=np.float64)
-    last = len(params.weights) - 1
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
-        name = params.spec.hidden_activation if k < last else params.spec.output_activation
-        if name == "tanh":
-            h = np.tanh(h)
-        elif name == "leaky_relu":
-            h = np.where(h >= 0.0, h, 0.2 * h)
-    return h
+    return mlp_forward_nodes(
+        params.spec, zip(params.weights, params.biases), np.asarray(x, dtype=np.float64)
+    )
 
 
 @dataclass
@@ -182,15 +187,17 @@ def rmsprop_step(state: RmspropState, params: MlpParams, grads: list[np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint container: magic "MCGW", version, JSON header, f64 blobs.
+# Checkpoint container: magic "MCGW", version, JSON header, f64 blobs.  One
+# format for datasets, networks and generators; the header's "kind" says which.
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"MCGW"
 CHECKPOINT_VERSION = 1
+_PREFIX = struct.Struct("<4sII")  # magic, version, header length
 
 
 def write_checkpoint(path, header: dict, blobs: dict[str, np.ndarray]) -> None:
-    """Write a parameter container: little-endian f64 blobs behind a JSON header."""
+    """Write a container: little-endian f64 blobs, in name order, behind a JSON header."""
     manifest = {
         name: list(np.asarray(arr).shape) for name, arr in blobs.items()
     }
@@ -198,9 +205,7 @@ def write_checkpoint(path, header: dict, blobs: dict[str, np.ndarray]) -> None:
     head["blobs"] = manifest
     payload = json.dumps(head, sort_keys=True).encode("utf-8")
     buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    buf.write(struct.pack("<I", len(payload)))
+    buf.write(_PREFIX.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(payload)))
     buf.write(payload)
     for name in sorted(blobs):
         arr = np.ascontiguousarray(blobs[name], dtype="<f8")
@@ -209,47 +214,64 @@ def write_checkpoint(path, header: dict, blobs: dict[str, np.ndarray]) -> None:
         fh.write(buf.getvalue())
 
 
-def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+def read_checkpoint(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a container whose header names `kind`.
+
+    Rejects a short or foreign prefix, a header or blob cut short, and bytes
+    after the last blob, each with a ValueError naming the file.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise ValueError("not a parameter checkpoint (bad magic)")
-    version = struct.unpack("<I", raw[4:8])[0]
+    if len(raw) < _PREFIX.size:
+        raise ValueError(f"{path}: {len(raw)} bytes is too short for a checkpoint")
+    magic, version, hlen = _PREFIX.unpack_from(raw)
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint (bad magic)")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    off = _PREFIX.size + hlen
+    if off > len(raw):
+        raise ValueError(f"{path}: header runs past the end of the file")
+    try:
+        header = json.loads(raw[_PREFIX.size : off].decode("utf-8"))
+        manifest = {name: tuple(shape) for name, shape in header["blobs"].items()}
+        if any(not isinstance(d, int) or d < 0 for s in manifest.values() for d in s):
+            raise ValueError("negative or non-integer blob extent")
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint header") from exc
     blobs: dict[str, np.ndarray] = {}
-    off = 12 + hlen
-    for name in sorted(header["blobs"]):
-        shape = tuple(header["blobs"][name])
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw[off : off + 8 * n], dtype="<f8").reshape(shape)
-        blobs[name] = arr.astype(np.float64)
-        off += 8 * n
+    for name in sorted(manifest):
+        nbytes = 8 * int(np.prod(manifest[name]))
+        if off + nbytes > len(raw):
+            raise ValueError(f"{path}: blob {name!r} is cut short")
+        arr = np.frombuffer(raw[off : off + nbytes], dtype="<f8")
+        blobs[name] = arr.reshape(manifest[name]).astype(np.float64)
+        off += nbytes
+    if off != len(raw):
+        raise ValueError(f"{path}: {len(raw) - off} bytes after the last blob")
+    if header.get("kind") != kind:
+        raise ValueError(f"{path}: checkpoint holds {header.get('kind')!r}, not {kind!r}")
     return header, blobs
 
 
-def save_mlp(path, params: MlpParams, extra: dict | None = None) -> None:
-    header = {
-        "kind": "mlp",
-        "spec": {
-            "widths": list(params.spec.widths),
-            "hidden_activation": params.spec.hidden_activation,
-            "output_activation": params.spec.output_activation,
-        },
-    }
-    if extra:
-        header["extra"] = extra
-    blobs = {}
+def write_layers(path, params: MlpParams, header: dict, blobs: dict | None = None) -> None:
+    """Write a network's spec and layer blobs, plus the caller's header and blobs."""
+    spec = params.spec
+    header = dict(header, spec={
+        "widths": list(spec.widths),
+        "hidden_activation": spec.hidden_activation,
+        "output_activation": spec.output_activation,
+    })
+    blobs = dict(blobs or {})
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         blobs[f"w{i:03d}"] = w
         blobs[f"b{i:03d}"] = b
     write_checkpoint(path, header, blobs)
 
 
-def load_mlp(path) -> tuple[MlpParams, dict]:
-    header, blobs = read_checkpoint(path)
+def read_layers(path, kind: str) -> tuple[MlpParams, dict, dict[str, np.ndarray]]:
+    """Read a network written by :func:`write_layers` under the given kind."""
+    header, blobs = read_checkpoint(path, kind)
     sp = header["spec"]
     spec = MlpSpec(
         tuple(sp["widths"]), sp["hidden_activation"], sp["output_activation"]
@@ -257,7 +279,16 @@ def load_mlp(path) -> tuple[MlpParams, dict]:
     nlayers = len(spec.widths) - 1
     params = MlpParams(
         spec,
-        [blobs[f"w{i:03d}"].copy() for i in range(nlayers)],
-        [blobs[f"b{i:03d}"].copy() for i in range(nlayers)],
+        [blobs[f"w{i:03d}"] for i in range(nlayers)],
+        [blobs[f"b{i:03d}"] for i in range(nlayers)],
     )
+    return params, header, blobs
+
+
+def save_mlp(path, params: MlpParams, extra: dict | None = None) -> None:
+    write_layers(path, params, {"kind": "mlp", "extra": extra} if extra else {"kind": "mlp"})
+
+
+def load_mlp(path) -> tuple[MlpParams, dict]:
+    params, header, _ = read_layers(path, "mlp")
     return params, header.get("extra", {})

@@ -119,27 +119,6 @@ def _as_target(target):
     raise TypeError("target must be callable or expose logp_and_grad")
 
 
-def leapfrog(z, p, eps: float, grad_u, inv_mass=None):
-    """One symplectic step of the Hamiltonian flow.
-
-    grad_u returns the potential gradient (the negative log-density gradient).
-    Half kick, full drift with the inverse mass, half kick.
-    """
-    z = np.asarray(z, dtype=float)
-    p = np.asarray(p, dtype=float)
-    inv_mass = np.ones_like(z) if inv_mass is None else inv_mass
-    g = np.asarray(grad_u(z), dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("non-finite potential gradient in leapfrog")
-    p = p - 0.5 * eps * g
-    z = z + eps * inv_mass * p
-    g = np.asarray(grad_u(z), dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("non-finite potential gradient in leapfrog")
-    p = p - 0.5 * eps * g
-    return z, p
-
-
 @dataclass
 class _Point:
     z: np.ndarray
@@ -158,6 +137,25 @@ def _leap(target, pt: _Point, eps: float, inv_mass) -> _Point:
         raise ValueError("non-finite potential gradient in leapfrog")
     p = p + 0.5 * eps * grad
     return _Point(z=z, p=p, logp=float(logp), grad=grad)
+
+
+def leapfrog(z, p, eps: float, grad_u, inv_mass=None):
+    """One symplectic step of the Hamiltonian flow: the step NUTS and HMC take.
+
+    grad_u returns the potential gradient (the negative log-density gradient).
+    Half kick, full drift with the inverse mass, half kick.
+    """
+    z = np.asarray(z, dtype=float)
+
+    def target(x):
+        return 0.0, -np.asarray(grad_u(x), dtype=float)
+
+    _, grad = target(z)
+    if not np.all(np.isfinite(grad)):
+        raise ValueError("non-finite potential gradient in leapfrog")
+    inv_mass = np.ones_like(z) if inv_mass is None else inv_mass
+    pt = _leap(target, _Point(z, np.asarray(p, dtype=float), 0.0, grad), eps, inv_mass)
+    return pt.z, pt.p
 
 
 def _energy(pt: _Point, inv_mass) -> float:

@@ -230,6 +230,17 @@ class TestGradAsNode:
         g_back = backward(out)[x.idx]
         np.testing.assert_allclose(g_node.value, g_back, rtol=1e-14, atol=1e-16)
 
+    def test_gradient_through_gradient_node(self):
+        # out = c . grad(sum x^3) = sum 3 c x^2, whose gradient is 6 c x
+        x0 = np.array([0.5, -1.5, 2.0])
+        c = np.array([1.0, 2.0, -0.5])
+        tape = Tape()
+        x = tape.leaf(x0)
+        g = grad_wrt_input((x * x * x).sum(), x)
+        out = (g * tape.const(c)).sum()
+        np.testing.assert_allclose(grad_wrt_input(out, x).value, 6.0 * c * x0, rtol=1e-14)
+        np.testing.assert_allclose(backward(out)[x.idx], 6.0 * c * x0, rtol=1e-14)
+
     def test_input_not_on_tape_rejected(self):
         tape = Tape()
         x = tape.leaf(np.array([1.0]))

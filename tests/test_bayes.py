@@ -165,6 +165,15 @@ class TestMapEstimate:
         assert post1.log_unnorm(z1) >= post1.log_unnorm(m1) - 1e-10
 
 
+    def test_programming_error_propagates(self):
+        class Broken(LatentPosterior):
+            def logp_and_grad(self, z):
+                raise TypeError("broken target")
+
+        with pytest.raises(TypeError, match="broken target"):
+            map_estimate(Broken(LinearGenerator(np.eye(2))), MapConfig(steps=5, restarts=2))
+
+
 class TestPosteriorStats:
     def test_single_sample_identity(self):
         a = np.array([[2.0], [3.0]])

@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from mcgan.autodiff import Tape
+from mcgan.data import Dataset, load_dataset, save_dataset
+from mcgan.gan import Generator, load_generator, save_generator
 from mcgan.nnet import (
     MlpParams,
     MlpSpec,
@@ -168,3 +172,39 @@ class TestCheckpoint:
         p.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(ValueError):
             load_mlp(p)
+
+
+def write_dataset(path):
+    rng = np.random.default_rng(0)
+    save_dataset(path, Dataset.from_raw("d", rng.normal(size=(4, 3)), rng.normal(size=(4, 2))))
+    return load_dataset
+
+
+def write_mlp(path):
+    save_mlp(path, init_params(MlpSpec((3, 4, 2)), np.random.default_rng(1)))
+    return load_mlp
+
+
+def write_generator(path):
+    rng = np.random.default_rng(2)
+    ds = Dataset.from_raw("d", rng.normal(size=(4, 3)), rng.normal(size=(4, 2)))
+    save_generator(path, Generator(init_params(MlpSpec((2, 4, 5)), rng), 3, 2, ds.norm))
+    return load_generator
+
+
+DAMAGE = {
+    "six_bytes": lambda raw: raw[:6],
+    "cut_blob": lambda raw: raw[:-4],
+    "padded": lambda raw: raw + b"\0" * 8,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+@pytest.mark.parametrize("write", [write_dataset, write_mlp, write_generator])
+def test_damaged_container_rejected(tmp_path, write, damage):
+    path = tmp_path / "file.bin"
+    load = write(path)
+    load(path)
+    path.write_bytes(DAMAGE[damage](path.read_bytes()))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load(path)
