@@ -225,10 +225,6 @@ def _reshape(x, shape):
     return np.reshape(x, shape)
 
 
-def _zeros(shape):
-    return np.zeros(shape)
-
-
 def _unbroadcast(g, shape):
     """Reduce a cotangent back onto an operand shape after numpy broadcasting."""
     gshape = _shape(g)
@@ -242,6 +238,15 @@ def _unbroadcast(g, shape):
         if n == 1 and _shape(g)[ax] != 1:
             g = _sum(g, axis=ax, keepdims=True)
     return g
+
+
+def _placed(shape, key, src):
+    """Adjoint of a slice: src written at key into a zero array of the given shape."""
+    if isinstance(src, DualTensor):
+        return DualTensor(_placed(shape, key, src.primal), _placed(shape, key, src.tangent))
+    out = np.zeros(shape)
+    out[key] = src
+    return out
 
 
 def _scatter_rows(shape, idx, src):
@@ -404,10 +409,7 @@ def _forward(kind: str, vals: list, aux) -> Any:
     if kind == "take":
         return vals[0][aux]
     if kind == "slice":
-        start, stop = aux
-        if len(_shape(vals[0])) == 1:
-            return vals[0][start:stop]
-        return vals[0][:, start:stop]
+        return vals[0][..., slice(*aux)]
     if kind == "concat":
         if any(isinstance(v, DualTensor) for v in vals):
             ps = [_parts(v)[0] for v in vals]
@@ -469,33 +471,13 @@ def _vjp(kind: str, vals: list, out, cot, aux) -> list:
     if kind == "take":
         return [_scatter_rows(_shape(vals[0]), aux, cot)]
     if kind == "slice":
-        start, stop = aux
-        shape = _shape(vals[0])
-        if isinstance(cot, DualTensor):
-            gp = np.zeros(shape)
-            gt = np.zeros(shape)
-            if len(shape) == 1:
-                gp[start:stop] = cot.primal
-                gt[start:stop] = cot.tangent
-            else:
-                gp[:, start:stop] = cot.primal
-                gt[:, start:stop] = cot.tangent
-            return [DualTensor(gp, gt)]
-        g = np.zeros(shape)
-        if len(shape) == 1:
-            g[start:stop] = cot
-        else:
-            g[:, start:stop] = cot
-        return [g]
+        return [_placed(_shape(vals[0]), (..., slice(*aux)), cot)]
     if kind == "concat":
         outs = []
         off = 0
         for v in vals:
             w = _shape(v)[-1]
-            if len(_shape(v)) == 1:
-                outs.append(cot[off : off + w])
-            else:
-                outs.append(cot[:, off : off + w])
+            outs.append(cot[..., off : off + w])
             off += w
         return outs
     raise ValueError(f"unknown op kind {kind!r}")
