@@ -1,4 +1,5 @@
-"""Dense networks on the autodiff tape, plus the RMSProp optimizer.
+"""Dense networks on the autodiff tape, the RMSProp optimizer, and the
+checkpoint container that networks, generators and datasets share.
 
 Desk-scale stand-in for the convolutional architectures used at full scale:
 state fields are flattened to vectors, so plain MLPs suffice.
