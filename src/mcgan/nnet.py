@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -242,7 +243,7 @@ def read_checkpoint(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise ValueError(f"{path}: malformed checkpoint header") from exc
     blobs: dict[str, np.ndarray] = {}
     for name in sorted(manifest):
-        nbytes = 8 * int(np.prod(manifest[name]))
+        nbytes = 8 * math.prod(manifest[name])
         if off + nbytes > len(raw):
             raise ValueError(f"{path}: blob {name!r} is cut short")
         arr = np.frombuffer(raw[off : off + nbytes], dtype="<f8")
