@@ -75,56 +75,6 @@ def line_grid(n: int, length: float = 1.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 50):
-    """Full symmetric eigendecomposition by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted.  Accuracy over
-    speed: intended for dense matrices up to a few thousand rows.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n), v
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(0.0, np.sum(a * a) - np.sum(np.diag(a) ** 2)))
-        if off <= tol * norm:
-            break
-        # entries below machine precision relative to the norm are left alone
-        skip = max((off / n) * 1e-4, norm * 1e-16)
-        for p in range(n - 1):
-            row = a[p, p + 1 :]
-            if np.max(np.abs(row)) <= skip:
-                continue
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e100:  # avoid overflow in theta^2
-                    t = 0.5 / theta
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return np.diag(a).copy(), v
-
-
 @dataclass
 class KlBasis:
     """Eigenpairs of a covariance matrix, eigenvalues descending."""
@@ -157,14 +107,18 @@ NEG_EIG_TOL = -1e-10
 
 
 def kl_decompose(cov: np.ndarray, points: np.ndarray | None = None) -> KlBasis:
-    """Eigendecomposition of a dense symmetric covariance via cyclic Jacobi."""
+    """Eigendecomposition of a dense symmetric covariance by ``np.linalg.eigh``.
+
+    Rejects an asymmetric matrix or a clearly negative eigenvalue, clips
+    round-off negatives to zero and sorts the eigenpairs descending.
+    """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError("covariance must be square")
     scale = max(1.0, float(np.max(np.abs(cov))))
     if np.max(np.abs(cov - cov.T)) > 1e-10 * scale:
         raise ValueError("covariance matrix is not symmetric")
-    lam, psi = jacobi_eigh(cov)
+    lam, psi = np.linalg.eigh(cov)
     if np.any(lam < NEG_EIG_TOL * scale):
         raise ValueError(
             f"covariance has negative eigenvalue {lam.min():.3e}; not a covariance"
