@@ -2,9 +2,9 @@
 
 A :class:`Tape` records a computation as an append-only list of nodes; parent
 indices always precede child indices, so a single reverse sweep in index order
-is a valid topological traversal.  The op set is deliberately small: exactly
-what the generator / discriminator networks, Gaussian likelihoods, and
-Hamiltonian potentials need.
+is a valid topological traversal.  The op set is deliberately small: what
+WGAN-GP training and the test oracles need.  The latent posterior's gradient
+does not use the tape; the tape is its test oracle.
 
 Second-order support: :func:`grad_wrt_input` appends the gradient of a scalar
 node with respect to an input leaf as a *new differentiable node*, so a
@@ -178,19 +178,6 @@ def _tanh(x):
     return np.tanh(x)
 
 
-def _exp(x):
-    if isinstance(x, DualTensor):
-        y = np.exp(x.primal)
-        return DualTensor(y, y * x.tangent)
-    return np.exp(x)
-
-
-def _log(x):
-    if isinstance(x, DualTensor):
-        return DualTensor(np.log(x.primal), x.tangent / x.primal)
-    return np.log(x)
-
-
 def _sqrt(x):
     if isinstance(x, DualTensor):
         y = np.sqrt(x.primal)
@@ -246,19 +233,6 @@ def _placed(shape, key, src):
         return DualTensor(_placed(shape, key, src.primal), _placed(shape, key, src.tangent))
     out = np.zeros(shape)
     out[key] = src
-    return out
-
-
-def _scatter_rows(shape, idx, src):
-    """Adjoint of a 1-d gather: place src back at idx in a zero array."""
-    if isinstance(src, DualTensor):
-        vp = np.zeros(shape)
-        vt = np.zeros(shape)
-        np.add.at(vp, idx, src.primal)
-        np.add.at(vt, idx, src.tangent)
-        return DualTensor(vp, vt)
-    out = np.zeros(shape)
-    np.add.at(out, idx, src)
     return out
 
 
@@ -339,27 +313,10 @@ class Node:
     def square(self):
         return self.tape.apply("square", self)
 
-    def sqrt(self):
-        return self.tape.apply("sqrt", self)
-
-    def log(self):
-        return self.tape.apply("log", self)
-
-    def exp(self):
-        return self.tape.apply("exp", self)
-
     def l2norm(self, axis=None):
         if axis not in (None, 1):
             raise ValueError("l2norm supports axis None (full) or 1 (per row)")
         return self.tape.apply("l2norm", self, aux=axis)
-
-    def take(self, indices):
-        idx = np.asarray(indices, dtype=np.intp)
-        if self.value.ndim != 1:
-            raise ValueError("take expects a 1-d node")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.value.shape[0]):
-            raise IndexError("take index out of range")
-        return self.tape.apply("take", self, aux=idx)
 
     def slice(self, start: int, stop: int):
         n = self.value.shape[-1]
@@ -397,17 +354,9 @@ def _forward(kind: str, vals: list, aux) -> Any:
         return leaky_relu(vals[0])
     if kind == "square":
         return vals[0] * vals[0]
-    if kind == "sqrt":
-        return _sqrt(vals[0])
-    if kind == "log":
-        return _log(vals[0])
-    if kind == "exp":
-        return _exp(vals[0])
     if kind == "l2norm":
         sq = _sum(vals[0] * vals[0], axis=aux)
         return _sqrt(sq)
-    if kind == "take":
-        return vals[0][aux]
     if kind == "slice":
         return vals[0][..., slice(*aux)]
     if kind == "concat":
@@ -456,20 +405,12 @@ def _vjp(kind: str, vals: list, out, cot, aux) -> list:
         return [cot * _leaky_mask(vals[0])]
     if kind == "square":
         return [cot * vals[0] * 2.0]
-    if kind == "sqrt":
-        return [cot * 0.5 / out]
-    if kind == "log":
-        return [cot / vals[0]]
-    if kind == "exp":
-        return [cot * out]
     if kind == "l2norm":
         # safe at ||x|| = 0: numerator is 0 there, tiny shift avoids 0/0
         denom = out + 1e-300
         if aux is None:
             return [vals[0] * (cot / denom)]
         return [vals[0] * _reshape(cot / denom, (-1, 1))]
-    if kind == "take":
-        return [_scatter_rows(_shape(vals[0]), aux, cot)]
     if kind == "slice":
         return [_placed(_shape(vals[0]), (..., slice(*aux)), cot)]
     if kind == "concat":

@@ -3,12 +3,13 @@
 The latent posterior replaces the PDE forward map with the trained generator:
 log rho(z | y) = log rho_eta(y - h(G(z))) + log rho_z(z), unnormalized.  The
 evidence is never computed; MAP search and MCMC only need density ratios and
-gradients, which come off the autodiff tape.
+gradients, which come from one forward pass and its hand-written adjoint.
 
 Generators are duck-typed: anything exposing `latent_dim`, `n_state`,
-`n_param`, `push(z)`, `observed_values(z, idx)` and
-`observed_state_node(tape, z_node, idx)` works, which keeps the module usable
-with analytic stand-ins (linear maps) for conjugate cross-checks.
+`n_param`, `push(z)` and `observed(z, idx)` works.  `observed` returns the
+observed state values and the map from a cotangent on them back to z, which
+keeps the module usable with analytic stand-ins (linear maps) for conjugate
+cross-checks.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Node, NonFiniteError, Tape, backward
+from .autodiff import NonFiniteError, as_tensor
 from .priors import LatentPrior
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -72,12 +73,12 @@ class LatentPosterior:
         self.generator = generator
         self.op = op
         self.latent_prior = LatentPrior(generator.latent_dim)
+        self._prior_const = -0.5 * self.latent_prior.dim * LOG_2PI
         if op is None:
             if y is not None and np.size(y) > 0:
                 raise ValueError("observations supplied without an operator")
             self.noise = None
             self.y = np.zeros(0)
-            self._std = np.zeros(0)
         else:
             if noise is None:
                 raise ValueError("observation operator requires a noise model")
@@ -87,43 +88,36 @@ class LatentPosterior:
                     f"got {self.y.size} observations for an operator with {op.n_obs}"
                 )
             self.noise = noise
-            self._std = noise.expanded(op.n_obs)
+            std = noise.expanded(op.n_obs)
+            self._inv_std = 1.0 / std
             self._loglik_const = float(
-                -np.sum(np.log(self._std)) - 0.5 * op.n_obs * LOG_2PI
+                -np.sum(np.log(std)) - 0.5 * op.n_obs * LOG_2PI
             )
 
-    # -- tape route -----------------------------------------------------------
-    def log_posterior_node(self, tape: Tape, z_node: Node) -> Node:
-        """Unnormalized log posterior recorded on the tape for differentiation."""
-        log_prior = z_node.square().sum().scale(-0.5) + tape.const(
-            np.array(-0.5 * self.latent_prior.dim * LOG_2PI)
-        )
+    def _forward(self, z):
+        """The log posterior at z, and a thunk for its gradient: one pass, one adjoint.
+
+        The operations follow the tape route kept as the oracle in the tests, in
+        the same order, so value and gradient agree with it bit for bit.
+        """
+        z = as_tensor(z)
+        log_prior = np.sum(z * z) * -0.5 + self._prior_const
         if self.op is None:
-            return log_prior
-        h = self.generator.observed_state_node(tape, z_node, self.op.indices)
-        resid = tape.const(self.y) - h
-        scaled = resid * tape.const(1.0 / self._std)
-        log_lik = scaled.square().sum().scale(-0.5) + tape.const(
-            np.array(self._loglik_const)
-        )
-        return log_lik + log_prior
+            return float(log_prior), lambda: -z
+        h, back = self.generator.observed(z, self.op.indices)
+        s = (self.y - h) * self._inv_std
+        log_lik = np.sum(s * s) * -0.5 + self._loglik_const
+        return float(log_lik + log_prior), lambda: back(s * self._inv_std) - z
 
     def logp_and_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
-        tape = Tape()
-        z_node = tape.leaf(np.asarray(z, dtype=float))
-        node = self.log_posterior_node(tape, z_node)
-        grad = backward(node, wrt=[z_node])[z_node.idx]
-        return float(node.value), grad
+        val, grad = self._forward(z)
+        grad = grad()
+        if not (np.isfinite(val) and np.all(np.isfinite(grad))):
+            raise NonFiniteError("non-finite log posterior or gradient")
+        return val, grad
 
-    # -- fast numpy route (no gradients) ---------------------------------------
     def log_unnorm(self, z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=float)
-        val = self.latent_prior.log_density(z)
-        if self.op is not None:
-            predicted = self.generator.observed_values(z, self.op.indices)
-            r = (self.y - predicted) / self._std
-            val += float(-0.5 * np.sum(r * r) + self._loglik_const)
-        return val
+        return self._forward(z)[0]
 
     def push(self, z: np.ndarray) -> np.ndarray:
         return self.generator.push(np.asarray(z, dtype=float))
@@ -236,9 +230,6 @@ class LinearGenerator:
     def push(self, z):
         return self.a @ z + self.offset
 
-    def observed_values(self, z, idx):
-        return self.a[idx, :] @ z + self.offset[idx]
-
-    def observed_state_node(self, tape, z_node, idx):
-        idx = np.asarray(idx, dtype=np.intp)
-        return tape.const(self.a[idx, :]) @ z_node + tape.const(self.offset[idx])
+    def observed(self, z, idx):
+        a = self.a[idx, :]
+        return a @ z + self.offset[idx], lambda cot: a.T @ cot

@@ -64,8 +64,13 @@ class Normalization:
         return {name: getattr(self, name) for name in NORM_BLOBS}
 
     @classmethod
-    def from_blobs(cls, blobs: dict[str, np.ndarray], param_tanh: bool) -> "Normalization":
-        return cls(*(blobs[name] for name in NORM_BLOBS), param_tanh=param_tanh)
+    def from_blobs(cls, path, header: dict, blobs: dict[str, np.ndarray]) -> "Normalization":
+        """Read back :meth:`blobs`; each vector's length must be the header's block width."""
+        for name in NORM_BLOBS:
+            n = header["n_state"] if name.startswith("state") else header["n_param"]
+            if blobs[name].shape != (n,):
+                raise ValueError(f"{path}: {name} has shape {blobs[name].shape}, not ({n},)")
+        return cls(*(blobs[name] for name in NORM_BLOBS), param_tanh=header["param_tanh"])
 
     def normalize(self, states: np.ndarray, params: np.ndarray) -> np.ndarray:
         q = (states - self.state_shift) / self.state_scale
@@ -155,6 +160,6 @@ def load_dataset(path) -> Dataset:
         rows=blobs["rows"],
         n_state=header["n_state"],
         n_param=header["n_param"],
-        norm=Normalization.from_blobs(blobs, header["param_tanh"]),
+        norm=Normalization.from_blobs(path, header, blobs),
         meta=header.get("meta", {}),
     )

@@ -100,7 +100,7 @@ def haaland_friction(reynolds, rel_roughness) -> np.ndarray | float:
     Evaluates 1/sqrt(f) = -(1.8/4) log10[(rel_roughness/3.7)^1.11 + 6.9/Re].
     """
     re = np.asarray(reynolds, dtype=float)
-    if np.any(re <= 0):
+    if not np.all(re > 0):
         raise ValueError("Reynolds number must be positive")
     if not np.all(np.asarray(rel_roughness, dtype=float) >= 0):
         raise ValueError("relative roughness must be nonnegative")

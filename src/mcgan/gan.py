@@ -28,8 +28,9 @@ from .nnet import (
     RmspropState,
     init_params,
     mlp_apply,
+    mlp_forward,
     mlp_forward_nodes,
-    mlp_hidden,
+    mlp_hidden_vjp,
     params_on_tape,
     read_layers,
     rmsprop_step,
@@ -93,7 +94,7 @@ class Generator:
             out[:, self.n_state :] = np.tanh(out[:, self.n_state :])
         return out
 
-    def raw_nodes(self, tape: Tape, layer_nodes, z_node: Node) -> Node:
+    def raw_nodes(self, layer_nodes, z_node: Node) -> Node:
         out = mlp_forward_nodes(self.params.spec, layer_nodes, z_node)
         if self.n_param and self.norm.param_tanh:
             state = out.slice(0, self.n_state)
@@ -127,21 +128,12 @@ class Generator:
             self.norm.state_shift[idx],
         )
 
-    def observed_values(self, z: np.ndarray, idx) -> np.ndarray:
+    def observed(self, z: np.ndarray, idx):
+        """Observed state values at z, and the map from a cotangent on them back to z."""
         w, b, scale, shift = self._head(idx)
         layers = zip(self.params.weights[:-1], self.params.biases[:-1])
-        h = mlp_hidden(self.params.spec, layers, np.asarray(z, dtype=float))
-        return (h @ w + b) * scale + shift
-
-    def observed_state_node(self, tape: Tape, z_node: Node, idx) -> Node:
-        w, b, scale, shift = self._head(idx)
-        layers = [
-            (tape.const(wk), tape.const(bk))
-            for wk, bk in zip(self.params.weights[:-1], self.params.biases[:-1])
-        ]
-        h = mlp_hidden(self.params.spec, layers, z_node)
-        out = h @ tape.const(w) + tape.const(b)
-        return out * tape.const(scale) + tape.const(shift)
+        h, back = mlp_hidden_vjp(self.params.spec, layers, z)
+        return (h @ w + b) * scale + shift, lambda cot: back(w @ (cot * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +280,8 @@ def train_gan(
                     z = rng.standard_normal((bs, cfg.latent_dim))
                     tape = Tape()
                     g_nodes = params_on_tape(g_params, tape)
-                    fake_node = gen.raw_nodes(tape, g_nodes, tape.const(z))
-                    d_consts = [
-                        (tape.const(w), tape.const(b))
-                        for w, b in zip(d_params.weights, d_params.biases)
-                    ]
-                    l_g = (
-                        mlp_forward_nodes(d_spec, d_consts, fake_node)
-                        .mean()
-                        .scale(-1.0)
-                    )
+                    fake_node = gen.raw_nodes(g_nodes, tape.const(z))
+                    l_g = mlp_forward(d_params, fake_node).mean().scale(-1.0)
                     g_losses.append(float(l_g.value))
                     _apply_step(g_state, g_params, l_g, g_nodes)
         except NonFiniteError as exc:
@@ -333,7 +317,7 @@ def save_generator(path, gen: Generator) -> None:
 
 def load_generator(path) -> Generator:
     params, header, blobs = read_layers(path, "generator")
-    norm = Normalization.from_blobs(blobs, header["param_tanh"])
+    norm = Normalization.from_blobs(path, header, blobs)
     return Generator(
         params, header["n_state"], header["n_param"], norm, header.get("meta", {})
     )

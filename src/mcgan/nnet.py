@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Node, NonFiniteError, Tape, leaky_relu
+from .autodiff import Node, NonFiniteError, Tape, _leaky_mask, leaky_relu
 
 HIDDEN_ACTIVATIONS = ("tanh", "leaky_relu")
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
@@ -101,32 +101,47 @@ def _activate(h, name: str):
     return h
 
 
-def mlp_hidden(spec: MlpSpec, layers, x):
-    """Hidden features: affine map then the hidden activation, for each (w, b).
-
-    The same loop serves numpy arrays (raw weight arrays) and tape nodes
-    (weight nodes on the input's tape).
-    """
+def mlp_hidden(spec: MlpSpec, layers, x: Node) -> Node:
+    """Hidden features on the tape: affine map then the hidden activation, per (w, b)."""
     h = x
     for w, b in layers:
         h = _activate(h @ w + b, spec.hidden_activation)
     return h
 
 
-def mlp_forward(params: MlpParams, x: Node, tape: Tape | None = None) -> Node:
-    """Forward pass recorded on the tape.  Accepts (n,) or (batch, n) inputs.
+def mlp_hidden_vjp(spec: MlpSpec, layers, x: np.ndarray):
+    """Hidden features of an array input, and the map from a cotangent on them to x.
 
-    Parameters may be passed either as raw arrays (treated as constants of the
-    input's tape) or pre-registered nodes via :func:`params_on_tape` when their
-    gradients are needed.
+    Per layer, in reverse, the cotangent becomes w @ (cot * slope), with the
+    slopes of the tape's adjoints, so value and gradient match the tape's bits.
     """
-    tape = tape or x.tape
+    h = x
+    seen = []
+    for w, b in layers:
+        pre = h @ w + b
+        h = _activate(pre, spec.hidden_activation)
+        seen.append((w, pre, h))
+
+    def back(cot):
+        for w, pre, out in reversed(seen):
+            if spec.hidden_activation == "leaky_relu":
+                slope = _leaky_mask(pre)
+            else:
+                slope = 1.0 - out * out
+            cot = w @ (cot * slope)
+        return cot
+
+    return h, back
+
+
+def mlp_forward(params: MlpParams, x: Node) -> Node:
+    """Forward pass on the input's tape, parameters as constants; (n,) or (batch, n)."""
     if x.value.shape[-1] != params.spec.in_width:
         raise ValueError(
             f"input width {x.value.shape[-1]} != spec width {params.spec.in_width}"
         )
     nodes = [
-        (tape.const(w), tape.const(b))
+        (x.tape.const(w), x.tape.const(b))
         for w, b in zip(params.weights, params.biases)
     ]
     return mlp_forward_nodes(params.spec, nodes, x)
@@ -143,19 +158,16 @@ def params_on_tape(params: MlpParams, tape: Tape) -> list[tuple[Node, Node]]:
 def mlp_forward_nodes(
     spec: MlpSpec, layer_nodes: list[tuple[Node, Node]], x: Node
 ) -> Node:
-    """Forward pass with parameters already living on the tape.
-
-    Given raw arrays for the layers and the input, it is the tape-free pass.
-    """
+    """Forward pass with parameters already living on the tape."""
     *hidden, (w, b) = layer_nodes
     return _activate(mlp_hidden(spec, hidden, x) @ w + b, spec.output_activation)
 
 
 def mlp_apply(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Tape-free forward pass for sampling loops where gradients are not needed."""
-    return mlp_forward_nodes(
-        params.spec, zip(params.weights, params.biases), np.asarray(x, dtype=np.float64)
-    )
+    *hidden, (w, b) = zip(params.weights, params.biases)
+    h, _ = mlp_hidden_vjp(params.spec, hidden, np.asarray(x, dtype=np.float64))
+    return _activate(h @ w + b, params.spec.output_activation)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcgan.autodiff import Tape, backward
+from mcgan.autodiff import NonFiniteError, Tape, backward
 from mcgan.bayes import (
     GaussianNoise,
     LatentPosterior,
@@ -11,7 +11,10 @@ from mcgan.bayes import (
     map_estimate,
     posterior_stats,
 )
+from mcgan.data import Normalization
 from mcgan.forward import ObservationOp
+from mcgan.gan import Generator
+from mcgan.nnet import MlpSpec, init_params, mlp_hidden
 
 LOG2PI = np.log(2 * np.pi)
 
@@ -23,6 +26,59 @@ def conjugate_posterior(a, idx, sigma, y):
     cov = np.linalg.inv(prec)
     mean = cov @ (h.T @ y) / sigma**2
     return mean, cov
+
+
+def tape_logp_and_grad(post, z):
+    """The latent log posterior and its gradient recorded on the tape: the oracle."""
+    tape = Tape()
+    z_node = tape.leaf(z)
+    log_prior = z_node.square().sum().scale(-0.5) + tape.const(
+        np.array(-0.5 * z.size * LOG2PI)
+    )
+    gen, idx = post.generator, post.op.indices
+    if isinstance(gen, LinearGenerator):
+        h = tape.const(gen.a[idx, :]) @ z_node + tape.const(gen.offset[idx])
+    else:
+        layers = [
+            (tape.const(w), tape.const(b))
+            for w, b in zip(gen.params.weights[:-1], gen.params.biases[:-1])
+        ]
+        hidden = mlp_hidden(gen.params.spec, layers, z_node)
+        w = tape.const(gen.params.weights[-1].take(idx, axis=1))
+        out = hidden @ w + tape.const(gen.params.biases[-1][idx])
+        h = out * tape.const(gen.norm.state_scale[idx]) + tape.const(gen.norm.state_shift[idx])
+    std = post.noise.expanded(idx.size)
+    scaled = (tape.const(post.y) - h) * tape.const(1.0 / std)
+    log_lik = scaled.square().sum().scale(-0.5) + tape.const(
+        np.array(float(-np.sum(np.log(std)) - 0.5 * idx.size * LOG2PI))
+    )
+    node = log_lik + log_prior
+    return float(node.value), backward(node, wrt=[z_node])[z_node.idx]
+
+
+def mlp_generator(rng, hidden_activation="leaky_relu", param_tanh=False):
+    n_state, n_param = 9, 3
+    spec = MlpSpec((4, 16, 8, n_state + n_param), hidden_activation=hidden_activation)
+    norm = Normalization(
+        rng.normal(size=n_state), rng.uniform(0.5, 2.0, n_state),
+        rng.normal(size=n_param), rng.uniform(0.5, 2.0, n_param), param_tanh,
+    )
+    return Generator(init_params(spec, rng), n_state, n_param, norm)
+
+
+GENERATORS = {
+    "leaky_relu": lambda rng: mlp_generator(rng),
+    "tanh": lambda rng: mlp_generator(rng, hidden_activation="tanh"),
+    "tanh_param_head": lambda rng: mlp_generator(rng, param_tanh=True),
+    "linear": lambda rng: LinearGenerator(rng.normal(size=(9, 4)), rng.normal(size=9)),
+}
+
+
+def observed_posterior(gen, rng):
+    idx = np.array([7, 0, 3, 5, 8])
+    std = rng.uniform(0.05, 0.3, idx.size)
+    op = ObservationOp(indices=idx, noise_std=std, state_len=gen.n_state)
+    return LatentPosterior(gen, op, GaussianNoise(std), rng.normal(size=idx.size))
 
 
 class TestLogLikelihood:
@@ -52,17 +108,45 @@ class TestLogLikelihood:
 class TestLatentPosterior:
     def test_conjugate_identity_value(self):
         # G = identity, observe everything, y = 0, unit noise:
-        # log post = -||z||^2 - Nz log 2pi
+        # log post = -||z||^2 - Nz log 2pi, gradient -2 z
         dim = 3
         gen = LinearGenerator(np.eye(dim))
         op = ObservationOp(indices=np.arange(dim), noise_std=1.0, state_len=dim)
         post = LatentPosterior(gen, op, GaussianNoise(1.0), np.zeros(dim))
         z = np.array([0.5, -1.0, 2.0])
-        val = post.log_unnorm(z)
-        assert val == pytest.approx(-np.dot(z, z) - dim * LOG2PI)
-        tape = Tape()
-        node = post.log_posterior_node(tape, tape.leaf(z))
-        assert float(node.value) == pytest.approx(val, rel=1e-12)
+        val, grad = post.logp_and_grad(z)
+        assert val == pytest.approx(-np.dot(z, z) - dim * LOG2PI, rel=1e-12)
+        assert post.log_unnorm(z) == val
+        np.testing.assert_allclose(grad, -2.0 * z, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_matches_tape_bit_for_bit(self, kind):
+        rng = np.random.default_rng(sorted(GENERATORS).index(kind))
+        post = observed_posterior(GENERATORS[kind](rng), rng)
+        for _ in range(100):
+            z = rng.standard_normal(4) * 1.5
+            val, grad = post.logp_and_grad(z)
+            ref_val, ref_grad = tape_logp_and_grad(post, z)
+            assert val == ref_val
+            assert post.log_unnorm(z) == ref_val
+            np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_builds_no_tape(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        post = observed_posterior(mlp_generator(rng), rng)
+
+        def no_tape(self):
+            raise AssertionError("the latent posterior built a tape")
+
+        monkeypatch.setattr(Tape, "__init__", no_tape)
+        post.logp_and_grad(np.zeros(4))
+        post.log_unnorm(np.zeros(4))
+
+    def test_non_finite_latent_rejected(self):
+        rng = np.random.default_rng(1)
+        post = observed_posterior(mlp_generator(rng), rng)
+        with pytest.raises(NonFiniteError):
+            post.logp_and_grad(np.array([0.0, np.nan, 0.0, 0.0]))
 
     def test_gradient_matches_analytic_linear_gaussian(self):
         rng = np.random.default_rng(0)

@@ -96,8 +96,9 @@ class TestHaaland:
         assert haaland_friction(1e5, 1e-8 / 0.508) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_nonpositive_reynolds(self):
-        with pytest.raises(ValueError):
-            haaland_friction(0.0, 1e-6)
+        for reynolds in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="Reynolds"):
+                haaland_friction(reynolds, 1e-6)
 
     @pytest.mark.parametrize("rel_roughness", [np.float64(-1e-6), -1e-6])
     def test_rejects_negative_roughness(self, rel_roughness):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mcgan.data import Dataset, save_dataset
-from mcgan.gan import GanConfig, load_generator, save_generator, train_gan
+from mcgan.data import Dataset, load_dataset, save_dataset
+from mcgan.gan import Generator, GanConfig, load_generator, save_generator, train_gan
+from mcgan.nnet import MlpSpec, init_params, read_checkpoint, write_checkpoint
 
 
 def tiny_dataset() -> Dataset:
@@ -27,3 +28,22 @@ class TestCheckpoint:
         save_dataset(tmp_path / "d.bin", tiny_dataset())
         with pytest.raises(ValueError):
             load_generator(tmp_path / "d.bin")
+
+
+@pytest.mark.parametrize("length", [1, 2])
+@pytest.mark.parametrize("kind", ["dataset", "generator"])
+def test_normalisation_length_rejected(tmp_path, kind, length):
+    rng = np.random.default_rng(3)
+    ds = Dataset.from_raw("box", rng.normal(size=(8, 3)), rng.uniform(size=(8, 1)), [0.0], [1.0])
+    path = tmp_path / f"{kind}.bin"
+    if kind == "dataset":
+        save_dataset(path, ds)
+    else:
+        save_generator(path, Generator(init_params(MlpSpec((2, 4)), rng), 3, 1, ds.norm))
+    header, blobs = read_checkpoint(path, kind)
+    for name in ("state_shift", "state_scale"):
+        blobs[name] = blobs[name][:length]
+    write_checkpoint(path, header, blobs)
+    with pytest.raises(ValueError, match="state_s") as err:
+        (load_dataset if kind == "dataset" else load_generator)(path)
+    assert str(path) in str(err.value)
