@@ -33,7 +33,7 @@ class GaussianNoise:
     def __post_init__(self):
         s = np.atleast_1d(np.asarray(self.std, dtype=float))
         object.__setattr__(self, "std", s)
-        if np.any(s <= 0):
+        if not np.all(s > 0):
             raise ValueError("noise std must be positive")
 
     def expanded(self, n: int) -> np.ndarray:
@@ -125,16 +125,19 @@ class LatentPosterior:
 
 @dataclass(frozen=True)
 class MapConfig:
+    """Armijo ascent: `steps` per start from `restarts` Gaussian starts, each
+    with first trial step INITIAL_STEP."""
+
     steps: int = 500
-    initial_step: float = 0.1
     restarts: int = 4
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1 or self.restarts < 1 or self.initial_step <= 0:
-            raise ValueError("MAP search needs positive counts and step")
+        if self.steps < 1 or self.restarts < 1:
+            raise ValueError("MAP search needs positive step and restart counts")
 
 
+INITIAL_STEP = 0.1
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 
@@ -152,7 +155,7 @@ def map_estimate(post: LatentPosterior, cfg: MapConfig) -> np.ndarray:
             continue
         if not np.isfinite(val):
             continue
-        step = cfg.initial_step
+        step = INITIAL_STEP
         for _ in range(cfg.steps):
             gnorm2 = float(np.dot(grad, grad))
             if gnorm2 < 1e-24:

@@ -27,11 +27,6 @@ class DarcyGrid:
     def h(self) -> float:
         return 1.0 / self.n
 
-    def cell_centers(self) -> np.ndarray:
-        c = (np.arange(self.n) + 0.5) * self.h
-        xx, yy = np.meshgrid(c, c, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
-
 
 @dataclass
 class DarcyField:

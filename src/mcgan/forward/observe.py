@@ -32,7 +32,7 @@ class ObservationOp:
             raise ValueError("observation operator needs at least one site")
         if idx.min() < 0 or idx.max() >= self.state_len:
             raise IndexError("observation site out of range")
-        if np.any(std <= 0):
+        if not np.all(std > 0):
             raise ValueError("noise std must be positive")
 
     @property

@@ -41,14 +41,13 @@ class PipeConfig:
     include_friction: bool = True
 
     def __post_init__(self):
-        positive = (
-            self.length, self.diameter, self.area, self.sound_speed,
-            self.p_ambient, self.p_ref, self.rho_ref, self.v_inflow,
-            self.p_outflow, self.roughness, self.viscosity, self.leak_start,
-            self.horizon,
-        )
-        if any(x <= 0 for x in positive):
-            raise ValueError("all physical constants must be positive")
+        for name in (
+            "length", "diameter", "area", "sound_speed", "p_ambient", "p_ref",
+            "rho_ref", "v_inflow", "p_outflow", "roughness", "viscosity",
+            "leak_start", "horizon",
+        ):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"pipe constant {name} must be positive")
         if self.nx < 16 or self.nt < 16:
             raise ValueError("grid needs nx, nt >= 16")
 
@@ -217,9 +216,9 @@ def solve_pipe_batch(x_l, c_d, cfg: PipeConfig):
     c_d = np.atleast_1d(np.asarray(c_d, dtype=float))
     if x_l.shape != c_d.shape:
         raise ValueError("leak locations and discharge coefficients must align")
-    if np.any((x_l <= 0) | (x_l >= cfg.length)):
+    if not np.all((x_l > 0) & (x_l < cfg.length)):
         raise ValueError("leak location must lie strictly inside the pipe")
-    if np.any(c_d < 0):
+    if not np.all(c_d >= 0):
         raise ValueError("discharge coefficient must be nonnegative")
     leak_cell = np.clip((x_l / cfg.dx).astype(np.intp), 0, cfg.nx - 1)
     return _march(cfg, leak_cell, c_d)

@@ -61,10 +61,16 @@ class GanConfig:
     def __post_init__(self):
         if self.latent_dim < 1:
             raise ValueError("latent dimension must be >= 1")
-        if self.gp_weight < 0:
-            raise ValueError("gradient-penalty weight must be nonnegative")
+        if not self.gp_weight >= 0:
+            raise ValueError("gradient-penalty weight gp_weight must be nonnegative")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("learning rate lr must be finite and positive")
         if self.n_disc_per_gen < 1:
             raise ValueError("need at least one discriminator step per generator step")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
 
@@ -214,13 +220,13 @@ def _apply_step(state, params, loss_node, layer_nodes):
     rmsprop_step(state, params, [grads[n.idx] for n in flat_nodes])
 
 
-def train_gan(
-    dataset: Dataset, cfg: GanConfig, eval_rows: np.ndarray | None = None
-) -> tuple[Generator, TrainDiagnostics]:
+def train_gan(dataset: Dataset, cfg: GanConfig) -> tuple[Generator, TrainDiagnostics]:
     """Alternating WGAN-GP training over shuffled minibatches.
 
     Runs cfg.n_disc_per_gen discriminator updates per generator update, all
     with RMSProp at the configured rate; deterministic for a fixed seed.
+    After each epoch the moment monitor compares generated rows with the
+    de-normalized training rows, a random 2,048 of them when there are more.
     Raises :class:`TrainingDiverged` when a loss stops being finite.
     """
     if len(dataset) == 0:
@@ -244,12 +250,9 @@ def train_gan(
     g_state = RmspropState.for_params(g_params, cfg.lr)
     d_state = RmspropState.for_params(d_params, cfg.lr)
 
-    if eval_rows is None:
-        eval_rows = dataset.denormalized()
-        if eval_rows.shape[0] > 2048:
-            eval_rows = eval_rows[
-                rng.choice(eval_rows.shape[0], 2048, replace=False)
-            ]
+    ref_rows = dataset.denormalized()
+    if ref_rows.shape[0] > 2048:
+        ref_rows = ref_rows[rng.choice(ref_rows.shape[0], 2048, replace=False)]
 
     rows = dataset.rows
     n = rows.shape[0]
@@ -292,7 +295,7 @@ def train_gan(
         if not (np.isfinite(mean_d) and np.isfinite(mean_g)):
             raise TrainingDiverged(epoch)
         rm, rs = moment_convergence(
-            gen, eval_rows, max(2, cfg.n_diag_samples),
+            gen, ref_rows, max(2, cfg.n_diag_samples),
             np.random.default_rng(cfg.seed + 7919 + epoch),
         )
         diag.append(epoch, mean_d, mean_g, rm, rs)

@@ -176,8 +176,6 @@ class RmspropState:
 
     lr: float
     accum: list[np.ndarray] = field(default_factory=list)
-    decay: float = RMSPROP_DECAY
-    eps: float = RMSPROP_EPS
 
     @classmethod
     def for_params(cls, params: MlpParams, lr: float) -> "RmspropState":
@@ -194,9 +192,9 @@ def rmsprop_step(state: RmspropState, params: MlpParams, grads: list[np.ndarray]
             raise ValueError("gradient shape mismatch")
         if not np.all(np.isfinite(g)):
             raise NonFiniteError("NaN gradient in RMSProp step")
-        v *= state.decay
-        v += (1.0 - state.decay) * g * g
-        t -= state.lr * g / (np.sqrt(v) + state.eps)
+        v *= RMSPROP_DECAY
+        v += (1.0 - RMSPROP_DECAY) * g * g
+        t -= state.lr * g / (np.sqrt(v) + RMSPROP_EPS)
     return params
 
 

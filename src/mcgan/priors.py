@@ -25,7 +25,7 @@ class MaternConfig:
     def __post_init__(self):
         if self.nu not in SUPPORTED_NU:
             raise ValueError(f"smoothness must be one of {SUPPORTED_NU}")
-        if self.length <= 0 or self.sigma <= 0:
+        if not (self.length > 0 and self.sigma > 0):
             raise ValueError("correlation length and marginal std must be positive")
 
 
@@ -81,7 +81,6 @@ class KlBasis:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    points: np.ndarray | None = None
 
     def __post_init__(self):
         lam = self.eigenvalues
@@ -106,7 +105,7 @@ class KlBasis:
 NEG_EIG_TOL = -1e-10
 
 
-def kl_decompose(cov: np.ndarray, points: np.ndarray | None = None) -> KlBasis:
+def kl_decompose(cov: np.ndarray) -> KlBasis:
     """Eigendecomposition of a dense symmetric covariance by ``np.linalg.eigh``.
 
     Rejects an asymmetric matrix or a clearly negative eigenvalue, clips
@@ -125,7 +124,7 @@ def kl_decompose(cov: np.ndarray, points: np.ndarray | None = None) -> KlBasis:
         )
     lam = np.clip(lam, 0.0, None)
     order = np.argsort(lam)[::-1]
-    return KlBasis(lam[order], psi[:, order], points)
+    return KlBasis(lam[order], psi[:, order])
 
 
 def sample_field(basis: KlBasis, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -161,8 +160,8 @@ class BoxPrior:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        if lo.shape != hi.shape or np.any(lo >= hi):
-            raise ValueError("box prior needs lower < upper componentwise")
+        if lo.shape != hi.shape or not np.all((lo < hi) & np.isfinite(hi - lo)):
+            raise ValueError("box prior needs finite lower < upper componentwise")
 
     @property
     def dim(self) -> int:

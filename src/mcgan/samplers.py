@@ -1,11 +1,12 @@
 """MCMC engines over differentiable log-densities.
 
-The workhorse is a multinomial no-U-turn sampler: trajectories grow by tree
-doubling until the momentum turns against the endpoint displacement, proposals
-are drawn from the whole tree with weights exp(-H), and the step size adapts
-by dual averaging toward a target acceptance statistic during warmup.  A plain
-HMC step and a random-walk Metropolis step are provided as baselines and for
-cross-checks.
+The workhorse is a multinomial no-U-turn sampler at unit mass: trajectories
+grow by tree doubling until the momentum turns against the endpoint
+displacement, proposals are drawn from the whole tree with weights exp(-H),
+and the step size adapts by dual averaging toward a target acceptance
+statistic during warmup.  Subtrees and the trajectory grow by one rule, `_merge`.
+A metric L L^T is applied by sampling u in z = z_bar + L u.  A plain HMC step
+and a random-walk Metropolis step are provided as baselines and cross-checks.
 
 Targets are duck-typed: either a callable z -> (logp, grad) or an object with
 a `logp_and_grad` method (the latent posterior).  Random-walk MH only needs
@@ -15,7 +16,7 @@ z -> logp.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,21 +38,14 @@ DIVERGENCE_THRESHOLD = 1000.0
 
 @dataclass(frozen=True)
 class HmcConfig:
-    mass_diag: np.ndarray | None = None
     target_accept: float = 0.8
     warmup: int = 1000
     max_tree_depth: int = 10
     seed: int = 0
-    step_size: float | None = None  # fixed step disables dual averaging
 
     def __post_init__(self):
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target acceptance must lie in (0, 1)")
-        if self.mass_diag is not None:
-            m = np.asarray(self.mass_diag, dtype=float)
-            if np.any(m <= 0):
-                raise ValueError("mass matrix entries must be positive")
-            object.__setattr__(self, "mass_diag", m)
         if self.max_tree_depth < 1 or self.warmup < 0:
             raise ValueError("invalid tree depth or warmup count")
 
@@ -127,10 +121,10 @@ class _Point:
     grad: np.ndarray  # gradient of logp
 
 
-def _leap(target, pt: _Point, eps: float, inv_mass) -> _Point:
+def _leap(target, pt: _Point, eps: float) -> _Point:
     """Leapfrog step reusing the cached log-density gradient at the endpoint."""
     p = pt.p + 0.5 * eps * pt.grad
-    z = pt.z + eps * inv_mass * p
+    z = pt.z + eps * p
     logp, grad = target(z)
     grad = np.asarray(grad, dtype=float)
     if not np.all(np.isfinite(grad)):
@@ -139,11 +133,11 @@ def _leap(target, pt: _Point, eps: float, inv_mass) -> _Point:
     return _Point(z=z, p=p, logp=float(logp), grad=grad)
 
 
-def leapfrog(z, p, eps: float, grad_u, inv_mass=None):
+def leapfrog(z, p, eps: float, grad_u):
     """One symplectic step of the Hamiltonian flow: the step NUTS and HMC take.
 
     grad_u returns the potential gradient (the negative log-density gradient).
-    Half kick, full drift with the inverse mass, half kick.
+    Half kick, full drift at unit mass, half kick.
     """
     z = np.asarray(z, dtype=float)
 
@@ -153,38 +147,33 @@ def leapfrog(z, p, eps: float, grad_u, inv_mass=None):
     _, grad = target(z)
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite potential gradient in leapfrog")
-    inv_mass = np.ones_like(z) if inv_mass is None else inv_mass
-    pt = _leap(target, _Point(z, np.asarray(p, dtype=float), 0.0, grad), eps, inv_mass)
+    pt = _leap(target, _Point(z, np.asarray(p, dtype=float), 0.0, grad), eps)
     return pt.z, pt.p
 
 
-def _energy(pt: _Point, inv_mass) -> float:
-    return -pt.logp + 0.5 * float(np.dot(pt.p, inv_mass * pt.p))
+def _energy(pt: _Point) -> float:
+    return -pt.logp + 0.5 * float(np.dot(pt.p, pt.p))
 
 
-def hmc_step(target, z, n_leapfrog: int, eps: float, rng, mass_diag=None):
-    """Single Hamiltonian Monte Carlo transition.
+def hmc_step(target, z, n_leapfrog: int, eps: float, rng):
+    """Single Hamiltonian Monte Carlo transition at unit mass.
 
-    Fresh Gaussian momentum, n_leapfrog steps, and acceptance with probability
-    min(1, exp(H(start) - H(end))); the momentum is negated before the ratio
-    (a no-op for the Gaussian kinetic energy, kept for the detailed-balance
-    convention).  Returns (z_new, logp_new, accepted).
+    Fresh standard normal momentum, n_leapfrog steps, and acceptance with
+    probability min(1, exp(H(start) - H(end))); the kinetic energy is even in
+    p, so the momentum flip is left out.  Returns (z_new, logp_new, accepted).
     """
     target = _as_target(target)
     z = np.asarray(z, dtype=float)
-    mass = np.ones_like(z) if mass_diag is None else np.asarray(mass_diag, float)
-    inv_mass = 1.0 / mass
     logp0, grad0 = target(z)
-    p0 = rng.standard_normal(z.shape) * np.sqrt(mass)
-    pt = _Point(z=z, p=p0.copy(), logp=float(logp0), grad=np.asarray(grad0, float))
-    h0 = _energy(pt, inv_mass)
+    p0 = rng.standard_normal(z.shape)
+    pt = _Point(z=z, p=p0, logp=float(logp0), grad=np.asarray(grad0, float))
+    h0 = _energy(pt)
     try:
         for _ in range(n_leapfrog):
-            pt = _leap(target, pt, eps, inv_mass)
+            pt = _leap(target, pt, eps)
     except ValueError:
         return z, float(logp0), False
-    pt.p = -pt.p
-    h1 = _energy(pt, inv_mass)
+    h1 = _energy(pt)
     log_alpha = h0 - h1
     if np.isfinite(log_alpha) and np.log(rng.uniform()) < min(0.0, log_alpha):
         return pt.z, pt.logp, True
@@ -193,7 +182,7 @@ def hmc_step(target, z, n_leapfrog: int, eps: float, rng, mass_diag=None):
 
 def hmc_sample(
     target, z0, n_samples: int, n_leapfrog: int, eps: float, seed: int = 0,
-    warmup: int = 0, mass_diag=None,
+    warmup: int = 0,
 ) -> Chain:
     """Fixed-step HMC chain; records every state including warmup."""
     target_fn = _as_target(target)
@@ -202,31 +191,29 @@ def hmc_sample(
     logp, _ = target_fn(z)
     samples, logps, moved = [], [], []
     for _ in range(n_samples):
-        z, logp, acc = hmc_step(target_fn, z, n_leapfrog, eps, rng, mass_diag)
+        z, logp, acc = hmc_step(target_fn, z, n_leapfrog, eps, rng)
         samples.append(z.copy())
         logps.append(logp)
         moved.append(acc)
     return Chain(np.array(samples), np.array(logps), np.array(moved), warmup)
 
 
-def find_reasonable_epsilon(target, z, rng, mass_diag=None) -> float:
+def find_reasonable_epsilon(target, z, rng) -> float:
     """Double or halve the step until one leapfrog step crosses 1/2 acceptance."""
     target = _as_target(target)
     z = np.asarray(z, dtype=float)
-    mass = np.ones_like(z) if mass_diag is None else np.asarray(mass_diag, float)
-    inv_mass = 1.0 / mass
     logp, grad = target(z)
     eps = 1.0
-    p = rng.standard_normal(z.shape) * np.sqrt(mass)
+    p = rng.standard_normal(z.shape)
     pt = _Point(z=z, p=p, logp=float(logp), grad=np.asarray(grad, float))
-    h0 = _energy(pt, inv_mass)
+    h0 = _energy(pt)
 
     def log_ratio(e):
         try:
-            nxt = _leap(target, pt, e, inv_mass)
+            nxt = _leap(target, pt, e)
         except ValueError:
             return -np.inf
-        h1 = _energy(nxt, inv_mass)
+        h1 = _energy(nxt)
         return h0 - h1 if np.isfinite(h1) else -np.inf
 
     direction = 1.0 if log_ratio(eps) > np.log(0.5) else -1.0
@@ -249,19 +236,38 @@ class _Tree:
     divergent: bool
 
 
-def _is_turning(minus: _Point, plus: _Point, inv_mass) -> bool:
+def _is_turning(minus: _Point, plus: _Point) -> bool:
     dz = plus.z - minus.z
-    return (
-        float(np.dot(dz, inv_mass * minus.p)) < 0.0
-        or float(np.dot(dz, inv_mass * plus.p)) < 0.0
+    return float(np.dot(dz, minus.p)) < 0.0 or float(np.dot(dz, plus.p)) < 0.0
+
+
+def _merge(first: _Tree, second: _Tree, direction, rng) -> _Tree:
+    """Extend the valid trajectory `first` by `second`, built on its `direction` side.
+
+    Weights add, the proposal moves to second's with probability w2 / (w1 + w2)
+    and the acceptance statistics sum.  An invalid second invalidates the result.
+    """
+    minus = first.minus if direction > 0 else second.minus
+    plus = second.plus if direction > 0 else first.plus
+    merged = _Tree(
+        minus, plus, first.proposal, -np.inf, first.alpha_sum + second.alpha_sum,
+        first.n_alpha + second.n_alpha, turning=True, divergent=second.divergent,
     )
+    if second.divergent or second.turning:
+        return merged
+    # a valid subtree has a finite weight: a leaf with a non-finite energy is divergent
+    merged.log_weight = float(np.logaddexp(first.log_weight, second.log_weight))
+    if np.log(rng.uniform()) < second.log_weight - merged.log_weight:
+        merged.proposal = second.proposal
+    merged.turning = _is_turning(minus, plus)
+    return merged
 
 
-def _build_tree(target, pt, direction, depth, eps, h0, rng, inv_mass) -> _Tree:
+def _build_tree(target, pt, direction, depth, eps, h0, rng) -> _Tree:
     if depth == 0:
         try:
-            nxt = _leap(target, pt, direction * eps, inv_mass)
-            h1 = _energy(nxt, inv_mass)
+            nxt = _leap(target, pt, direction * eps)
+            h1 = _energy(nxt)
         except ValueError:
             h1 = np.inf
             nxt = pt
@@ -274,43 +280,16 @@ def _build_tree(target, pt, direction, depth, eps, h0, rng, inv_mass) -> _Tree:
             alpha_sum=alpha, n_alpha=1, turning=False, divergent=divergent,
         )
 
-    first = _build_tree(target, pt, direction, depth - 1, eps, h0, rng, inv_mass)
+    first = _build_tree(target, pt, direction, depth - 1, eps, h0, rng)
     if first.divergent or first.turning:
         return first
     start = first.plus if direction > 0 else first.minus
-    second = _build_tree(target, start, direction, depth - 1, eps, h0, rng, inv_mass)
-
-    minus = first.minus if direction > 0 else second.minus
-    plus = second.plus if direction > 0 else first.plus
-    alpha_sum = first.alpha_sum + second.alpha_sum
-    n_alpha = first.n_alpha + second.n_alpha
-    if second.divergent or second.turning:
-        # an invalid half invalidates the whole subtree; the caller discards it
-        return _Tree(
-            minus=minus, plus=plus, proposal=first.proposal,
-            log_weight=-np.inf, alpha_sum=alpha_sum, n_alpha=n_alpha,
-            turning=True, divergent=second.divergent,
-        )
-    total = np.logaddexp(first.log_weight, second.log_weight)
-    proposal = first.proposal
-    if np.isfinite(second.log_weight) and np.log(rng.uniform()) < (
-        second.log_weight - total
-    ):
-        proposal = second.proposal
-    return _Tree(
-        minus=minus,
-        plus=plus,
-        proposal=proposal,
-        log_weight=float(total),
-        alpha_sum=alpha_sum,
-        n_alpha=n_alpha,
-        turning=_is_turning(minus, plus, inv_mass),
-        divergent=False,
-    )
+    second = _build_tree(target, start, direction, depth - 1, eps, h0, rng)
+    return _merge(first, second, direction, rng)
 
 
 def nuts_sample(target, cfg: HmcConfig, n_samples: int, z0) -> Chain:
-    """No-U-turn chain with dual-averaging warmup.
+    """No-U-turn chain at unit mass with dual-averaging warmup.
 
     Records n_samples states in total; the first cfg.warmup are flagged as
     burn-in.  Fully deterministic for a fixed seed.
@@ -323,19 +302,12 @@ def nuts_sample(target, cfg: HmcConfig, n_samples: int, z0) -> Chain:
     rng = np.random.default_rng(cfg.seed)
     z = np.asarray(z0, dtype=float).copy()
     dim = z.shape[0]
-    mass = np.ones(dim) if cfg.mass_diag is None else cfg.mass_diag
-    inv_mass = 1.0 / mass
 
     logp, grad = target_fn(z)
     logp = float(logp)
     grad = np.asarray(grad, dtype=float)
 
-    if cfg.step_size is not None:
-        eps = float(cfg.step_size)
-        adapting = False
-    else:
-        eps = find_reasonable_epsilon(target_fn, z, rng, mass)
-        adapting = True
+    eps = find_reasonable_epsilon(target_fn, z, rng)
     mu = np.log(10.0 * eps)
     log_eps_bar, h_bar = 0.0, 0.0
     gamma, t0, kappa = 0.05, 10.0, 0.75
@@ -346,56 +318,42 @@ def nuts_sample(target, cfg: HmcConfig, n_samples: int, z0) -> Chain:
     all_divergent_warmup = 0
 
     for m in range(n_samples):
-        p0 = rng.standard_normal(dim) * np.sqrt(mass)
-        current = _Point(z=z, p=p0, logp=logp, grad=grad)
-        h0 = _energy(current, inv_mass)
-        minus = plus = current
-        selected = current
-        log_w_tree = 0.0  # the initial point carries weight exp(-(h0-h0)) = 1
-        alpha_sum, n_alpha = 0.0, 0
+        current = _Point(z=z, p=rng.standard_normal(dim), logp=logp, grad=grad)
+        h0 = _energy(current)
+        # the initial point carries weight exp(-(h0 - h0)) = 1
+        tree = _Tree(
+            minus=current, plus=current, proposal=current, log_weight=0.0,
+            alpha_sum=0.0, n_alpha=0, turning=False, divergent=False,
+        )
         nondivergent_expansion = False
         for depth in range(cfg.max_tree_depth):
             direction = 1 if rng.uniform() < 0.5 else -1
-            start = plus if direction > 0 else minus
-            sub = _build_tree(
-                target_fn, start, direction, depth, eps, h0, rng, inv_mass
-            )
-            alpha_sum += sub.alpha_sum
-            n_alpha += sub.n_alpha
+            start = tree.plus if direction > 0 else tree.minus
+            sub = _build_tree(target_fn, start, direction, depth, eps, h0, rng)
             if not sub.divergent:
                 nondivergent_expansion = True
-            if sub.divergent or sub.turning:
-                break
-            # multinomial merge of the new subtree into the trajectory
-            total = np.logaddexp(log_w_tree, sub.log_weight)
-            if np.log(rng.uniform()) < sub.log_weight - total:
-                selected = sub.proposal
-            log_w_tree = float(total)
-            if direction > 0:
-                plus = sub.plus
-            else:
-                minus = sub.minus
-            if _is_turning(minus, plus, inv_mass):
+            tree = _merge(tree, sub, direction, rng)
+            if tree.turning:
                 break
 
         if m < cfg.warmup and not nondivergent_expansion:
             all_divergent_warmup += 1
+        selected = tree.proposal
         moved[m] = selected is not current
         z, logp, grad = selected.z, selected.logp, selected.grad
         samples[m] = z
         logps[m] = logp
 
-        if adapting:
-            accept_stat = alpha_sum / max(n_alpha, 1)
-            if m < cfg.warmup:
-                frac = 1.0 / (m + 1 + t0)
-                h_bar = (1.0 - frac) * h_bar + frac * (cfg.target_accept - accept_stat)
-                log_eps = mu - np.sqrt(m + 1.0) / gamma * h_bar
-                eta = (m + 1.0) ** (-kappa)
-                log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar
-                eps = float(np.exp(log_eps))
-            elif m == cfg.warmup and cfg.warmup > 0:
-                eps = float(np.exp(log_eps_bar))
+        accept_stat = tree.alpha_sum / max(tree.n_alpha, 1)
+        if m < cfg.warmup:
+            frac = 1.0 / (m + 1 + t0)
+            h_bar = (1.0 - frac) * h_bar + frac * (cfg.target_accept - accept_stat)
+            log_eps = mu - np.sqrt(m + 1.0) / gamma * h_bar
+            eta = (m + 1.0) ** (-kappa)
+            log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar
+            eps = float(np.exp(log_eps))
+        elif m == cfg.warmup and cfg.warmup > 0:
+            eps = float(np.exp(log_eps_bar))
 
     if cfg.warmup > 0 and all_divergent_warmup == cfg.warmup:
         raise RuntimeError("every warmup step diverged on all tree expansions")
@@ -404,7 +362,7 @@ def nuts_sample(target, cfg: HmcConfig, n_samples: int, z0) -> Chain:
 
 def mh_step(target_logp, z, logp: float, proposal_std: float, rng):
     """Gaussian random-walk Metropolis transition; returns (z, logp, accepted)."""
-    if proposal_std <= 0:
+    if not proposal_std > 0:
         raise ValueError("proposal std must be positive")
     z = np.asarray(z, dtype=float)
     proposal = z + rng.normal(0.0, proposal_std, size=z.shape)

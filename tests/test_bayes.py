@@ -101,8 +101,11 @@ class TestLogLikelihood:
         assert got == pytest.approx(-0.5 - np.log(3000.0) - 0.5 * LOG2PI)
 
     def test_noise_validation(self):
-        with pytest.raises(ValueError):
-            GaussianNoise(0.0)
+        for std in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="noise std"):
+                GaussianNoise(std)
+            with pytest.raises(ValueError, match="noise std"):
+                ObservationOp(indices=[0], noise_std=std, state_len=1)
 
 
 class TestLatentPosterior:

@@ -62,7 +62,7 @@ class TestDarcy:
         # fixed blocky log-permeability, successively refined solves
         pts = unit_square_grid(16)
         cov = matern_covariance_matrix(pts, MaternConfig())
-        basis = kl_decompose(cov, pts)
+        basis = kl_decompose(cov)
         m16 = sample_field(basis, 64, np.random.default_rng(11)).reshape(16, 16)
         k16 = np.exp(m16)
         p = {}
@@ -146,10 +146,15 @@ class TestPipe:
 
     def test_leak_position_validated(self):
         cfg = PipeConfig(nx=16, nt=16)
-        with pytest.raises(ValueError):
-            solve_pipe(-5.0, 1e-4, cfg)
-        with pytest.raises(ValueError):
-            solve_pipe(2000.0, 1e-4, cfg)
+        nan = float("nan")
+        for x_l, c_d, what in [
+            (-5.0, 1e-4, "location"), (2000.0, 1e-4, "location"),
+            (nan, 2e-4, "location"), (1000.0, nan, "discharge"),
+        ]:
+            with pytest.raises(ValueError, match=what):
+                solve_pipe(x_l, c_d, cfg)
+        with pytest.raises(ValueError, match="sound_speed"):
+            PipeConfig(nx=16, nt=16, sound_speed=nan)
 
 
 class TestObserve:

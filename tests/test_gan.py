@@ -1,9 +1,24 @@
 import numpy as np
 import pytest
 
+from mcgan.autodiff import NonFiniteError, Tape, backward
 from mcgan.data import Dataset, load_dataset, save_dataset
-from mcgan.gan import Generator, GanConfig, load_generator, save_generator, train_gan
-from mcgan.nnet import MlpSpec, init_params, read_checkpoint, write_checkpoint
+from mcgan.gan import (
+    Generator,
+    GanConfig,
+    TrainingDiverged,
+    _disc_loss_node,
+    load_generator,
+    save_generator,
+    train_gan,
+)
+from mcgan.nnet import (
+    MlpSpec,
+    init_params,
+    params_on_tape,
+    read_checkpoint,
+    write_checkpoint,
+)
 
 
 def tiny_dataset() -> Dataset:
@@ -47,3 +62,66 @@ def test_normalisation_length_rejected(tmp_path, kind, length):
     with pytest.raises(ValueError, match="state_s") as err:
         (load_dataset if kind == "dataset" else load_generator)(path)
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("batch_size", 0),
+        ("lr", -1e-3),
+        ("lr", 0.0),
+        ("lr", float("nan")),
+        ("lr", float("inf")),
+        ("epochs", -1),
+        ("epochs", 0),
+        ("gp_weight", float("nan")),
+    ],
+)
+def test_config_rejects_settings_that_cannot_train(field, value):
+    with pytest.raises(ValueError, match=field):
+        GanConfig(latent_dim=2, **{field: value})
+
+
+def test_critic_loss_gradients_match_central_differences():
+    rng = np.random.default_rng(0)
+    spec = MlpSpec((5, 7, 1))
+    params = init_params(spec, rng)
+    params.biases[0][:] = rng.uniform(-0.3, 0.3, size=7)
+    real = rng.standard_normal((6, 5))
+    fake = rng.standard_normal((6, 5))
+    eps = rng.uniform(0.0, 1.0, size=6)
+
+    # central differences need every leaky-ReLU unit to stay on one side of its kink
+    mix = eps[:, None] * real + (1.0 - eps[:, None]) * fake
+    pre = np.concatenate([real, fake, mix]) @ params.weights[0] + params.biases[0]
+    assert np.min(np.abs(pre)) > 1e-3
+
+    def loss():
+        tape = Tape()
+        layers = params_on_tape(params, tape)
+        value = _disc_loss_node(tape, spec, layers, real, fake, eps, 5.0)
+        return [n for pair in layers for n in pair], value
+
+    nodes, value = loss()
+    grads = backward(value, wrt=nodes)
+    h = 1e-6
+    for t, node in zip(params.tensors(), nodes):
+        fd = np.empty_like(t)
+        for i in np.ndindex(t.shape):
+            orig = t[i]
+            t[i] = orig + h
+            up = float(loss()[1].value)
+            t[i] = orig - h
+            down = float(loss()[1].value)
+            t[i] = orig
+            fd[i] = (up - down) / (2.0 * h)
+        np.testing.assert_allclose(grads[node.idx], fd, rtol=0.0, atol=1e-8)
+    assert np.all(grads[nodes[-1].idx] == 0.0)
+
+
+def test_exploding_learning_rate_raises_training_diverged():
+    cfg = GanConfig(latent_dim=2, batch_size=16, lr=1e100, epochs=3, hidden=(8,), n_diag_samples=8)
+    with pytest.raises(TrainingDiverged) as err, np.errstate(over="ignore", invalid="ignore"):
+        train_gan(tiny_dataset(), cfg)
+    assert err.value.epoch == 0
+    assert isinstance(err.value.__cause__, NonFiniteError)

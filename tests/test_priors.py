@@ -69,6 +69,8 @@ class TestMatern:
             MaternConfig(nu=1.0)
         with pytest.raises(ValueError):
             MaternConfig(length=-1.0)
+        with pytest.raises(ValueError):
+            MaternConfig(length=float("nan"))
 
 
 class TestJacobi:
@@ -85,14 +87,14 @@ class TestJacobi:
     def test_matern_reconstruction(self):
         pts = line_grid(16)
         cov = matern_covariance_matrix(pts, MaternConfig())
-        basis = kl_decompose(cov, pts)
+        basis = kl_decompose(cov)
         recon = basis.truncated_covariance(basis.size)
         assert np.max(np.abs(recon - cov)) < 1e-8
 
     def test_eigen_residual(self):
         pts = unit_square_grid(5)
         cov = matern_covariance_matrix(pts, MaternConfig())
-        basis = kl_decompose(cov, pts)
+        basis = kl_decompose(cov)
         resid = cov @ basis.eigenvectors - basis.eigenvectors * basis.eigenvalues
         assert np.max(np.abs(resid)) < 1e-8 * np.max(np.abs(cov))
 
@@ -129,7 +131,7 @@ class TestSampleField:
     def test_empirical_covariance_matches_truncated_analytic(self):
         pts = line_grid(16)
         cov = matern_covariance_matrix(pts, MaternConfig())
-        basis = kl_decompose(cov, pts)
+        basis = kl_decompose(cov)
         n = 8
         rng = np.random.default_rng(3)
         draws = sample_fields(basis, n, 10000, rng)
@@ -143,7 +145,7 @@ class TestSampleField:
         pts = line_grid(10)
         cov = matern_covariance_matrix(pts, MaternConfig(nu=2.5, length=0.4, sigma=1.0))
         cov_reg = cov + 1e-12 * np.eye(10)
-        basis = kl_decompose(cov_reg, pts)
+        basis = kl_decompose(cov_reg)
         rng = np.random.default_rng(5)
         ours = sample_fields(basis, 10, 10000, rng)
         chol = np.linalg.cholesky(cov_reg)
@@ -170,6 +172,9 @@ class TestDensities:
     def test_box_validation(self):
         with pytest.raises(ValueError):
             BoxPrior([0.0, 1.0], [1.0, 1.0])
+        for lower in (float("nan"), -np.inf):
+            with pytest.raises(ValueError):
+                BoxPrior([lower], [1.0])
 
     def test_latent_dim_positive(self):
         with pytest.raises(ValueError):

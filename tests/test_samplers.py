@@ -196,8 +196,9 @@ class TestMh:
         assert abs(chain.post_burn().mean()) < 0.02
 
     def test_proposal_std_validated(self):
-        with pytest.raises(ValueError):
-            mh_step(lambda z: 0.0, np.zeros(1), 0.0, -1.0, np.random.default_rng(0))
+        for std in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                mh_step(lambda z: 0.0, np.zeros(1), 0.0, std, np.random.default_rng(0))
 
 
 class TestDetailedBalance:
