@@ -10,10 +10,10 @@ The package is organized around the two stages of the method:
   latent space, with the generator standing in for the forward model
   (:mod:`mcgan.bayes`, :mod:`mcgan.samplers`).
 
-Supporting pieces: a small reverse-mode autodiff engine with the
-forward-over-reverse second-order sweep needed by the gradient penalty
-(:mod:`mcgan.autodiff`), Matern random-field priors (:mod:`mcgan.priors`),
-and scoring / theory-validation utilities (:mod:`mcgan.metrics`).
+Supporting pieces: Matern random-field priors (:mod:`mcgan.priors`), scoring
+and theory-validation utilities (:mod:`mcgan.metrics`), and a small reverse-mode
+autodiff engine with a second-order sweep (:mod:`mcgan.autodiff`): the oracle
+of the hand-written training and posterior gradients, and the benchmark's probe.
 """
 
 __version__ = "0.1.0"

@@ -2,9 +2,9 @@
 
 A :class:`Tape` records a computation as an append-only list of nodes; parent
 indices always precede child indices, so a single reverse sweep in index order
-is a valid topological traversal.  The op set is deliberately small: what
-WGAN-GP training and the test oracles need.  The latent posterior's gradient
-does not use the tape; the tape is its test oracle.
+is a valid topological traversal.  The op set is deliberately small: what the
+test oracles and the benchmark's gradient-penalty probe need.  WGAN-GP training
+and the latent posterior build no tape; their tests check them against it.
 
 Second-order support: :func:`grad_wrt_input` appends the gradient of a scalar
 node with respect to an input leaf as a *new differentiable node*, so a

@@ -33,8 +33,8 @@ class GaussianNoise:
     def __post_init__(self):
         s = np.atleast_1d(np.asarray(self.std, dtype=float))
         object.__setattr__(self, "std", s)
-        if not np.all(s > 0):
-            raise ValueError("noise std must be positive")
+        if not np.all(np.isfinite(s) & (s > 0)):
+            raise ValueError("noise std must be finite and positive")
 
     def expanded(self, n: int) -> np.ndarray:
         if self.std.size == 1:

@@ -32,8 +32,8 @@ class ObservationOp:
             raise ValueError("observation operator needs at least one site")
         if idx.min() < 0 or idx.max() >= self.state_len:
             raise IndexError("observation site out of range")
-        if not np.all(std > 0):
-            raise ValueError("noise std must be positive")
+        if not np.all(np.isfinite(std) & (std > 0)):
+            raise ValueError("noise std must be finite and positive")
 
     @property
     def n_obs(self) -> int:

@@ -3,8 +3,10 @@
 Offline stage: the generator learns to map a Gaussian latent space onto the
 normalized training rows.  The discriminator is driven toward the 1-Lipschitz
 dual witness by penalizing (||grad D|| - 1)^2 at points interpolated between
-real and generated rows; its parameter gradients run through the engine's
-forward-over-reverse sweep.  Training alternates a configurable number of
+real and generated rows.  The critic is leaky-ReLU, so with its slopes frozen
+the penalty's parameter gradient is two first-order sweeps (double backprop).
+Both steps run on arrays in the autodiff tape's floating-point order; the tape
+is their test oracle.  Training alternates a configurable number of
 discriminator steps per generator step, both under RMSProp.
 
 The trained :class:`Generator` carries the de-normalization maps, exposes
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Node, NonFiniteError, Tape, backward, concat, grad_wrt_input
+from .autodiff import NonFiniteError
 from .data import Dataset, Normalization
 from .metrics import rrmse
 from .nnet import (
@@ -28,10 +30,9 @@ from .nnet import (
     RmspropState,
     init_params,
     mlp_apply,
-    mlp_forward,
-    mlp_forward_nodes,
     mlp_hidden_vjp,
-    params_on_tape,
+    mlp_trunk,
+    mlp_trunk_cotangents,
     read_layers,
     rmsprop_step,
     write_layers,
@@ -61,8 +62,8 @@ class GanConfig:
     def __post_init__(self):
         if self.latent_dim < 1:
             raise ValueError("latent dimension must be >= 1")
-        if not self.gp_weight >= 0:
-            raise ValueError("gradient-penalty weight gp_weight must be nonnegative")
+        if not (np.isfinite(self.gp_weight) and self.gp_weight >= 0):
+            raise ValueError("gradient-penalty weight gp_weight must be finite and nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not (np.isfinite(self.lr) and self.lr > 0):
@@ -95,27 +96,23 @@ class Generator:
     def raw_batch(self, z: np.ndarray) -> np.ndarray:
         """Normalized rows, with the tanh parameter head applied (pipe case)."""
         out = mlp_apply(self.params, np.atleast_2d(np.asarray(z, dtype=float)))
-        if self.n_param and self.norm.param_tanh:
-            out = out.copy()
-            out[:, self.n_state :] = np.tanh(out[:, self.n_state :])
+        self._squash(out)
         return out
 
-    def raw_nodes(self, layer_nodes, z_node: Node) -> Node:
-        out = mlp_forward_nodes(self.params.spec, layer_nodes, z_node)
-        if self.n_param and self.norm.param_tanh:
-            state = out.slice(0, self.n_state)
-            par = out.slice(self.n_state, self.n_state + self.n_param).tanh()
-            out = concat([state, par])
-        return out
+    def _squash(self, rows: np.ndarray) -> bool:
+        """Apply the tanh parameter head to rows in place; True when there is one."""
+        head = bool(self.n_param and self.norm.param_tanh)
+        if head:
+            rows[:, self.n_state :] = np.tanh(rows[:, self.n_state :])
+        return head
 
     # -- physical-space forward --------------------------------------------
     def push_batch(self, z: np.ndarray) -> np.ndarray:
-        rows = self.raw_batch(z)
-        q = self.norm.denormalize_state(rows[:, : self.n_state])
-        if self.n_param == 0:
-            return q
-        m = self.norm.denormalize_params(rows[:, self.n_state :])
-        return np.concatenate([q, m], axis=1)
+        """Physical rows: one affine pass over the whole normalized row."""
+        out = self.raw_batch(z)
+        out *= np.concatenate([self.norm.state_scale, self.norm.param_scale])
+        out += np.concatenate([self.norm.state_shift, self.norm.param_shift])
+        return out
 
     def push(self, z: np.ndarray) -> np.ndarray:
         return self.push_batch(np.asarray(z, dtype=float)[None, :])[0]
@@ -143,22 +140,77 @@ class Generator:
 
 
 # ---------------------------------------------------------------------------
-# Losses
+# Training steps: losses and parameter gradients, in the tape's floating-point
+# order (tests/test_gan.py holds the tape versions as the oracle)
 # ---------------------------------------------------------------------------
 
 
-def _disc_loss_node(tape, d_spec, d_nodes, real, fake, eps, gp_weight):
-    d_real = mlp_forward_nodes(d_spec, d_nodes, tape.const(real))
-    d_fake = mlp_forward_nodes(d_spec, d_nodes, tape.const(fake))
-    loss = d_real.mean().scale(-1.0) + d_fake.mean()
-    if gp_weight > 0.0:
-        mix = eps[:, None] * real + (1.0 - eps[:, None]) * fake
-        x_hat = tape.leaf(mix)
-        d_hat = mlp_forward_nodes(d_spec, d_nodes, x_hat)
-        g = grad_wrt_input(d_hat.sum(), x_hat)
-        penalty = (g.l2norm(axis=1) - 1.0).square().mean()
-        loss = loss + penalty.scale(gp_weight)
-    return loss
+def _mean(x: np.ndarray):
+    return np.sum(x) * (1.0 / x.size)
+
+
+def _finite(loss) -> float:
+    if not np.isfinite(loss):
+        raise NonFiniteError("training loss is not finite")
+    return float(loss)
+
+
+def _add_param_grads(grads: list, ins, cots) -> list:
+    """Add each layer's weight and bias gradient to grads ([w0, b0, w1, ...])."""
+    for k, (h, c) in enumerate(zip(ins, cots)):
+        for i, g in ((2 * k, h.T @ c), (2 * k + 1, np.sum(c, axis=0))):
+            grads[i] = g if grads[i] is None else grads[i] + g
+    return grads
+
+
+def _critic_step(d: MlpParams, real, fake, eps, gp_weight: float):
+    """Critic loss mean D(fake) - mean D(real) + gp_weight * penalty, and its gradients.
+
+    The penalty's gradient: g = grad_x D at the interpolates, then the seed
+    s = d penalty / d g carried forward through the frozen slopes gives the
+    weight gradients t_k.T @ c_k.  The biases get no penalty term.  Gradients
+    add up in the tape's order: penalty, fake rows, real rows.
+    """
+    with np.errstate(all="ignore"):
+        out_r, ins_r, masks_r = mlp_trunk(d, real)
+        out_f, ins_f, masks_f = mlp_trunk(d, fake)
+        loss = _mean(out_r) * -1.0 + _mean(out_f)
+        grads = [None] * (2 * len(d.weights))
+        if gp_weight > 0.0:
+            mix = eps[:, None] * real + (1.0 - eps[:, None]) * fake
+            out_h, _, masks = mlp_trunk(d, mix)
+            cots = mlp_trunk_cotangents(d, masks, np.ones(out_h.shape))
+            g = cots[0] @ d.weights[0].T
+            norm = np.sqrt(np.sum(g * g, axis=1))
+            dev = norm + -1.0
+            loss = loss + _mean(dev * dev) * gp_weight
+            cot = gp_weight * np.full(dev.shape, 1.0 / dev.size) * dev * 2.0
+            t = g * (cot / (norm + 1e-300))[:, None]
+            for k, c in enumerate(cots):
+                grads[2 * k] = t.T @ c
+                if k < len(masks):
+                    t = (t @ d.weights[k]) * masks[k]
+        per_row = np.full(out_f.shape, 1.0 / out_f.size)
+        _add_param_grads(grads, ins_f, mlp_trunk_cotangents(d, masks_f, per_row))
+        _add_param_grads(grads, ins_r, mlp_trunk_cotangents(d, masks_r, per_row * -1.0))
+    return _finite(loss), grads
+
+
+def _generator_step(gen: Generator, d: MlpParams, z: np.ndarray):
+    """Generator loss -mean D(G(z)), critic held fixed, and the generator's gradients."""
+    with np.errstate(all="ignore"):
+        fake, ins, masks = mlp_trunk(gen.params, z)
+        head = gen._squash(fake)
+        score, _, masks_d = mlp_trunk(d, fake)
+        loss = _mean(score) * -1.0
+        per_row = np.full(score.shape, 1.0 / score.size) * -1.0
+        cot = mlp_trunk_cotangents(d, masks_d, per_row)[0] @ d.weights[0].T
+        if head:
+            par = fake[:, gen.n_state :]
+            cot[:, gen.n_state :] *= 1.0 - par * par
+        cots = mlp_trunk_cotangents(gen.params, masks, cot)
+        grads = _add_param_grads([None] * (2 * len(gen.params.weights)), ins, cots)
+    return _finite(loss), grads
 
 
 @dataclass
@@ -214,12 +266,6 @@ def moment_convergence(
 # ---------------------------------------------------------------------------
 
 
-def _apply_step(state, params, loss_node, layer_nodes):
-    flat_nodes = [n for pair in layer_nodes for n in pair]
-    grads = backward(loss_node, wrt=flat_nodes)
-    rmsprop_step(state, params, [grads[n.idx] for n in flat_nodes])
-
-
 def train_gan(dataset: Dataset, cfg: GanConfig) -> tuple[Generator, TrainDiagnostics]:
     """Alternating WGAN-GP training over shuffled minibatches.
 
@@ -229,8 +275,14 @@ def train_gan(dataset: Dataset, cfg: GanConfig) -> tuple[Generator, TrainDiagnos
     de-normalized training rows, a random 2,048 of them when there are more.
     Raises :class:`TrainingDiverged` when a loss stops being finite.
     """
-    if len(dataset) == 0:
+    rows = dataset.rows
+    n = rows.shape[0]
+    if n == 0:
         raise ValueError("empty dataset")
+    bs = min(cfg.batch_size, n)
+    if cfg.n_disc_per_gen > n // bs:
+        raise ValueError(f"n_disc_per_gen={cfg.n_disc_per_gen} exceeds the {n // bs} critic"
+                         " steps of an epoch, so the generator would never step")
     rng = np.random.default_rng(cfg.seed)
     width = dataset.n_state + dataset.n_param
     g_spec = MlpSpec(
@@ -254,9 +306,6 @@ def train_gan(dataset: Dataset, cfg: GanConfig) -> tuple[Generator, TrainDiagnos
     if ref_rows.shape[0] > 2048:
         ref_rows = ref_rows[rng.choice(ref_rows.shape[0], 2048, replace=False)]
 
-    rows = dataset.rows
-    n = rows.shape[0]
-    bs = min(cfg.batch_size, n)
     diag = TrainDiagnostics()
 
     for epoch in range(cfg.epochs):
@@ -268,30 +317,21 @@ def train_gan(dataset: Dataset, cfg: GanConfig) -> tuple[Generator, TrainDiagnos
                 batch = rows[order[start : start + bs]]
                 z = rng.standard_normal((bs, cfg.latent_dim))
                 eps = rng.uniform(0.0, 1.0, size=bs)
-                fake = gen.raw_batch(z)
-
-                tape = Tape()
-                d_nodes = params_on_tape(d_params, tape)
-                l_d = _disc_loss_node(
-                    tape, d_spec, d_nodes, batch, fake, eps, cfg.gp_weight
-                )
-                d_losses.append(float(l_d.value))
-                _apply_step(d_state, d_params, l_d, d_nodes)
+                loss, grads = _critic_step(d_params, batch, gen.raw_batch(z), eps, cfg.gp_weight)
+                d_losses.append(loss)
+                rmsprop_step(d_state, d_params, grads)
 
                 disc_count += 1
                 if disc_count % cfg.n_disc_per_gen == 0:
                     z = rng.standard_normal((bs, cfg.latent_dim))
-                    tape = Tape()
-                    g_nodes = params_on_tape(g_params, tape)
-                    fake_node = gen.raw_nodes(g_nodes, tape.const(z))
-                    l_g = mlp_forward(d_params, fake_node).mean().scale(-1.0)
-                    g_losses.append(float(l_g.value))
-                    _apply_step(g_state, g_params, l_g, g_nodes)
+                    loss, grads = _generator_step(gen, d_params, z)
+                    g_losses.append(loss)
+                    rmsprop_step(g_state, g_params, grads)
         except NonFiniteError as exc:
             raise TrainingDiverged(epoch) from exc
 
-        mean_d = float(np.mean(d_losses)) if d_losses else np.nan
-        mean_g = float(np.mean(g_losses)) if g_losses else np.nan
+        mean_d = float(np.mean(d_losses))
+        mean_g = float(np.mean(g_losses))
         if not (np.isfinite(mean_d) and np.isfinite(mean_g)):
             raise TrainingDiverged(epoch)
         rm, rs = moment_convergence(

@@ -1,5 +1,5 @@
-"""Dense networks on the autodiff tape, the RMSProp optimizer, and the
-checkpoint container that networks, generators and datasets share.
+"""Dense networks on arrays and on the autodiff tape, the RMSProp optimizer,
+and the checkpoint container that networks, generators and datasets share.
 
 Desk-scale stand-in for the convolutional architectures used at full scale:
 state fields are flattened to vectors, so plain MLPs suffice.
@@ -132,6 +132,32 @@ def mlp_hidden_vjp(spec: MlpSpec, layers, x: np.ndarray):
         return cot
 
     return h, back
+
+
+def mlp_trunk(params: MlpParams, x: np.ndarray):
+    """Leaky-ReLU network with an identity output, on a batch of array rows.
+
+    Returns the output, each layer's input and each hidden layer's slopes,
+    which :func:`mlp_trunk_cotangents` and the parameter gradients need.
+    """
+    ins, masks = [x], []
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        pre = ins[-1] @ w + b
+        masks.append(_leaky_mask(pre))
+        ins.append(pre * masks[-1])
+    return ins[-1] @ params.weights[-1] + params.biases[-1], ins, masks
+
+
+def mlp_trunk_cotangents(params: MlpParams, masks, cot: np.ndarray) -> list[np.ndarray]:
+    """Cotangent at each layer's pre-activation, first layer first, from the output's.
+
+    Per layer, in reverse, the cotangent becomes (cot @ w.T) * slope, as the
+    tape's adjoints compute it, so the bits match the tape's.
+    """
+    cots = [cot]
+    for w, mask in zip(params.weights[:0:-1], masks[::-1]):
+        cots.append((cots[-1] @ w.T) * mask)
+    return cots[::-1]
 
 
 def mlp_forward(params: MlpParams, x: Node) -> Node:

@@ -101,7 +101,7 @@ class TestLogLikelihood:
         assert got == pytest.approx(-0.5 - np.log(3000.0) - 0.5 * LOG2PI)
 
     def test_noise_validation(self):
-        for std in (0.0, float("nan")):
+        for std in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="noise std"):
                 GaussianNoise(std)
             with pytest.raises(ValueError, match="noise std"):
