@@ -2,8 +2,9 @@
 
 Pressure-driven flow through [0,1]^2: unit pressure on the left edge, zero on
 the right, no-flux top and bottom.  Two-point flux approximation with harmonic
-face permeabilities; the SPD system is solved matrix-free by conjugate
-gradients.
+face permeabilities.  The SPD system is block-tridiagonal, one n x n block per
+x-row of cells, and is solved directly by block LU elimination (Golub & Van
+Loan, Matrix Computations, sec. 4.5): n small dense solves, no iteration.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ class DarcyField:
 
 P_LEFT = 1.0
 P_RIGHT = 0.0
+# bound on the relative residual ||b - A p|| / ||b|| that the direct solve checks;
+# the name is kept from the conjugate-gradient solver because the benchmark imports it
 CG_RTOL = 1e-10
 
 
@@ -87,25 +90,42 @@ def solve_darcy(k: np.ndarray, grid: DarcyGrid) -> DarcyField:
     b[0, :] = tl * P_LEFT
     b[-1, :] += tr * P_RIGHT
 
-    p = np.full((n, n), 0.5)
-    r = b - apply_op(p)
-    d = r.copy()
-    rs = float(np.sum(r * r))
+    # diagonal blocks, one per x-row: y-Laplacian with ty, plus the x couplings
+    diag = np.zeros((n, n))
+    diag[:-1, :] += tx
+    diag[1:, :] += tx
+    diag[0, :] += tl
+    diag[-1, :] += tr
+    diag[:, :-1] += ty
+    diag[:, 1:] += ty
+    j = np.arange(n)
+    blocks = np.zeros((n, n, n))
+    blocks[:, j, j] = diag
+    blocks[:, j[:-1], j[1:]] = -ty
+    blocks[:, j[1:], j[:-1]] = -ty
+
+    # forward sweep: S_0 = D_0, S_{i+1} = D_{i+1} - diag(tx_i) S_i^-1 diag(tx_i)
+    # and c_{i+1} = b_{i+1} + diag(tx_i) S_i^-1 c_i, one solve of S_i per row
+    sols = np.empty((n - 1, n, n + 1))  # [S_i^-1 diag(tx_i) | S_i^-1 c_i]
+    rhs = np.zeros((n, n + 1))
+    schur, c = blocks[0], b[0]
+    for i in range(n - 1):
+        rhs[j, j] = tx[i]
+        rhs[:, n] = c
+        sols[i] = np.linalg.solve(schur, rhs)
+        schur = blocks[i + 1] - tx[i][:, None] * sols[i, :, :n]
+        c = b[i + 1] + tx[i] * sols[i, :, n]
+    # back substitution: p_i = S_i^-1 c_i + S_i^-1 diag(tx_i) p_{i+1}
+    p = np.empty((n, n))
+    p[-1] = np.linalg.solve(schur, c)
+    for i in range(n - 2, -1, -1):
+        p[i] = sols[i, :, n] + sols[i, :, :n] @ p[i + 1]
+
+    res = float(np.linalg.norm(b - apply_op(p)))
     bnorm = float(np.linalg.norm(b))
-    max_iter = 10 * n * n
-    for _ in range(max_iter):
-        if np.sqrt(rs) <= CG_RTOL * bnorm:
-            break
-        ad = apply_op(d)
-        alpha = rs / float(np.sum(d * ad))
-        p += alpha * d
-        r -= alpha * ad
-        rs_new = float(np.sum(r * r))
-        d = r + (rs_new / rs) * d
-        rs = rs_new
-    else:
+    if not res <= CG_RTOL * bnorm:
         raise RuntimeError(
-            f"conjugate gradients did not reach {CG_RTOL:.0e} in {max_iter} iterations"
+            f"direct solve residual {res:.3e} exceeds {CG_RTOL:.0e} * ||b|| = {CG_RTOL * bnorm:.3e}"
         )
 
     # face-normal velocities u = T (p_upwind - p_downwind) / h

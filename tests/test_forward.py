@@ -16,11 +16,66 @@ from mcgan.forward import (
     solve_darcy,
     solve_pipe,
 )
-from mcgan.forward.darcy import prolong_cellwise, restrict_cellwise
+from mcgan.forward.darcy import CG_RTOL, P_LEFT, prolong_cellwise, restrict_cellwise
 from mcgan.priors import MaternConfig, kl_decompose, matern_covariance_matrix, sample_field, unit_square_grid
 
 
+def dense_tpfa(k: np.ndarray):
+    """The full n^2 x n^2 TPFA matrix and load, assembled cell by cell (cell [ix, iy]
+    is row ix * n + iy)."""
+    n = k.shape[0]
+    a = np.zeros((n * n, n * n))
+    b = np.zeros(n * n)
+    for ix, iy in np.ndindex(n, n):
+        row = ix * n + iy
+        for jx, jy in ((ix - 1, iy), (ix + 1, iy), (ix, iy - 1), (ix, iy + 1)):
+            if 0 <= jx < n and 0 <= jy < n:
+                t = 2.0 * k[ix, iy] * k[jx, jy] / (k[ix, iy] + k[jx, jy])
+                a[row, row] += t
+                a[row, jx * n + jy] -= t
+        if ix in (0, n - 1):  # Dirichlet half-cells: p = P_LEFT left, 0 right
+            a[row, row] += 2.0 * k[ix, iy]
+        if ix == 0:
+            b[row] = 2.0 * k[ix, iy] * P_LEFT
+    return a, b
+
+
 class TestDarcy:
+    @pytest.mark.parametrize("n", [4, 7, 10, 16])
+    def test_matches_dense_solve(self, n):
+        k = np.exp(np.random.default_rng(n).normal(0.0, 1.0, size=(n, n)))
+        a, b = dense_tpfa(k)
+        want = np.linalg.solve(a, b).reshape(n, n)
+        field = solve_darcy(k, DarcyGrid(n))
+        assert np.linalg.norm(field.p - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.max(np.abs(field.divergence())) <= 1e-12
+
+    def test_residual_guard_rejects_a_wrong_solve(self, monkeypatch):
+        solve = np.linalg.solve
+        calls = []
+
+        def perturbed(a, b):  # the first solve only, off by ~10x the residual bound
+            calls.append(1)
+            return solve(a, b) * (1.0 + 1e-9 * (len(calls) == 1))
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        k = np.exp(np.random.default_rng(3).normal(0.0, 1.0, size=(10, 10)))
+        with pytest.raises(RuntimeError, match="residual"):
+            solve_darcy(k, DarcyGrid(10))
+
+    @pytest.mark.parametrize("across", [False, True], ids=["along_flow", "across_flow"])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_high_contrast_channels_conserve_or_raise(self, n, across):
+        band = np.where(np.arange(n) // 2 % 2 == 0, 1e-4, 1e4)
+        k = np.tile(band[:, None], (1, n)) if across else np.tile(band[None, :], (n, 1))
+        try:
+            field = solve_darcy(k, DarcyGrid(n))
+        except RuntimeError as err:
+            assert "residual" in str(err)
+            return
+        tol = 100.0 * CG_RTOL * np.linalg.norm(2.0 * field.k[0, :] * P_LEFT)
+        assert np.max(np.abs(field.divergence())) <= tol
+
     def test_uniform_permeability_analytic(self):
         grid = DarcyGrid(16)
         field = solve_darcy(np.ones((16, 16)), grid)

@@ -9,6 +9,7 @@ from mcgan.gan import (
     TrainDiagnostics,
     TrainingDiverged,
     _critic_step,
+    _generator_step,
     load_generator,
     moment_convergence,
     save_generator,
@@ -176,6 +177,30 @@ def test_train_rejects_more_critic_steps_than_an_epoch_has():
         train_gan(tiny_dataset(), cfg)
 
 
+def assert_clear_of_kinks(params, x):
+    """Central differences need every leaky-ReLU unit to stay on one side of its kink."""
+    h = x
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        pre = h @ w + b
+        assert np.min(np.abs(pre)) > 1e-3
+        h = np.maximum(pre, 0.2 * pre)
+    return h @ params.weights[-1] + params.biases[-1]
+
+
+def central_differences(loss, t, step=1e-6):
+    """d loss / d t entry by entry, perturbing t in place."""
+    fd = np.empty_like(t)
+    for i in np.ndindex(t.shape):
+        orig = t[i]
+        t[i] = orig + step
+        up = loss()
+        t[i] = orig - step
+        down = loss()
+        t[i] = orig
+        fd[i] = (up - down) / (2.0 * step)
+    return fd
+
+
 def test_critic_loss_gradients_match_central_differences():
     for hidden, seed in (((7,), 0), ((7, 6), 1)):
         rng = np.random.default_rng(seed)
@@ -185,31 +210,37 @@ def test_critic_loss_gradients_match_central_differences():
         real = rng.standard_normal((6, 5))
         fake = rng.standard_normal((6, 5))
         eps = rng.uniform(0.0, 1.0, size=6)
-
-        # central differences need every leaky-ReLU unit to stay on one side of its kink
-        h = np.concatenate([real, fake, eps[:, None] * real + (1.0 - eps[:, None]) * fake])
-        for w, b in zip(params.weights[:-1], params.biases[:-1]):
-            pre = h @ w + b
-            assert np.min(np.abs(pre)) > 1e-3
-            h = np.maximum(pre, 0.2 * pre)
-
-        def loss():
-            return _critic_step(params, real, fake, eps, 5.0)[0]
+        mix = eps[:, None] * real + (1.0 - eps[:, None]) * fake
+        assert_clear_of_kinks(params, np.concatenate([real, fake, mix]))
 
         _, grads = _critic_step(params, real, fake, eps, 5.0)
-        step = 1e-6
         for t, grad in zip(params.tensors(), grads):
-            fd = np.empty_like(t)
-            for i in np.ndindex(t.shape):
-                orig = t[i]
-                t[i] = orig + step
-                up = loss()
-                t[i] = orig - step
-                down = loss()
-                t[i] = orig
-                fd[i] = (up - down) / (2.0 * step)
+            fd = central_differences(lambda: _critic_step(params, real, fake, eps, 5.0)[0], t)
             np.testing.assert_allclose(grad, fd, rtol=0.0, atol=1e-8)
         assert np.all(grads[-1] == 0.0)
+
+
+@pytest.mark.parametrize("box", [True, False], ids=["tanh_head", "z_scored"])
+@pytest.mark.parametrize("hidden", [(7,), (7, 6)], ids=["one_hidden", "two_hidden"])
+def test_generator_loss_gradients_match_central_differences(hidden, box):
+    ds = tiny_dataset(box)
+    assert ds.norm.param_tanh == box
+    rng = np.random.default_rng(len(hidden) + 2 * box)
+    width = ds.n_state + ds.n_param
+    gen = Generator(init_params(MlpSpec((3, *hidden, width)), rng), ds.n_state, ds.n_param, ds.norm)
+    critic = init_params(MlpSpec((width, *hidden, 1)), rng)
+    for b in gen.params.biases[:-1] + critic.biases[:-1]:
+        b[:] = rng.uniform(-0.3, 0.3, size=b.shape)
+    z = rng.standard_normal((6, 3))
+
+    fake = assert_clear_of_kinks(gen.params, z)
+    assert gen._squash(fake) == box
+    assert_clear_of_kinks(critic, fake)
+
+    _, grads = _generator_step(gen, critic, z)
+    for t, grad in zip(gen.params.tensors(), grads):
+        fd = central_differences(lambda: _generator_step(gen, critic, z)[0], t)
+        np.testing.assert_allclose(grad, fd, rtol=0.0, atol=1e-8)
 
 
 class TestClosedFormTraining:

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import sys
 try:
     import tomllib
 except ModuleNotFoundError:  # Python 3.10
@@ -27,3 +28,17 @@ def test_bench_imports_resolve():
     assert wanted
     missing = [f"{m}.{n}" for m, n in sorted(wanted) if not hasattr(importlib.import_module(m), n)]
     assert not missing
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # CI installs scipy and mpmath for the tests, so a stray import would pass there
+    allowed = {"numpy", "mcgan"} | set(sys.stdlib_module_names)
+    found = set()
+    for path in sorted((ROOT / "src" / "mcgan").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update((path.name, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.name, node.module.split(".")[0]))
+    assert found
+    assert sorted((f, m) for f, m in found if m not in allowed) == []
