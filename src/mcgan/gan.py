@@ -28,6 +28,7 @@ from .nnet import (
     MlpParams,
     MlpSpec,
     RmspropState,
+    _activate,
     init_params,
     mlp_apply,
     mlp_hidden_vjp,
@@ -72,6 +73,8 @@ class GanConfig:
             raise ValueError("need at least one discriminator step per generator step")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.n_diag_samples < 2:
+            raise ValueError("n_diag_samples must be >= 2: a std needs two generated rows")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
 
@@ -116,6 +119,38 @@ class Generator:
 
     def push(self, z: np.ndarray) -> np.ndarray:
         return self.push_batch(np.asarray(z, dtype=float)[None, :])[0]
+
+    def moments(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pointwise mean and std of push_batch(z), without forming its rows.
+
+        A column that the last layer maps affinely, by w_j and b_j, has mean
+        (h̄ @ w_j + b_j)·scale + shift and variance w_jᵀ (H_cᵀ H_c / n) w_j·scale²,
+        with H_c the centred hidden features: one Gram matrix of hidden width
+        squared serves every such column.  Columns behind a nonlinearity (the
+        tanh head, or every column under a non-identity output) are formed
+        from the hidden features, those columns only.
+        """
+        *hidden, (w, b) = zip(self.params.weights, self.params.biases)
+        h, _ = mlp_hidden_vjp(self.params.spec, hidden, np.atleast_2d(np.asarray(z, dtype=float)))
+        head = bool(self.n_param and self.norm.param_tanh)
+        act = self.params.spec.output_activation
+        k = 0 if act != "identity" else self.n_state if head else w.shape[1]
+        mean, std = np.empty(w.shape[1]), np.empty(w.shape[1])
+        h_mean = h.mean(axis=0)
+        h_c = h - h_mean
+        w_k = w[:, :k]
+        mean[:k] = h_mean @ w_k + b[:k]
+        var = np.sum(((h_c.T @ h_c) @ w_k) * w_k, axis=0) / h.shape[0]
+        std[:k] = np.sqrt(np.maximum(var, 0.0))
+        if k < w.shape[1]:
+            bent = _activate(h @ w[:, k:] + b[k:], act)
+            if head:
+                bent[:, self.n_state - k :] = np.tanh(bent[:, self.n_state - k :])
+            mean[k:] = bent.mean(axis=0)
+            std[k:] = bent.std(axis=0)
+        scale = np.concatenate([self.norm.state_scale, self.norm.param_scale])
+        shift = np.concatenate([self.norm.state_shift, self.norm.param_shift])
+        return mean * scale + shift, std * scale
 
     # -- observed head -------------------------------------------------------
     def _head(self, idx: np.ndarray):
@@ -246,19 +281,21 @@ def moment_convergence(
 ) -> tuple[float, float]:
     """RRMSE of pointwise mean and std between generated and reference rows.
 
-    Both sides live in physical units; the reference rows are de-normalized
-    data, the generated side is pushed through the de-normalization head.
+    Both sides live in physical units: the reference moments are those of the
+    de-normalized data rows, the generated ones come in closed form from
+    :meth:`Generator.moments` at n_samples latent draws.
     """
     test = np.asarray(test_rows, dtype=float)
     if n_samples < 2 or test.shape[0] < 2:
         raise ValueError("need at least two samples on both sides")
-    rng = rng or np.random.default_rng(0)
-    z = rng.standard_normal((n_samples, gen.latent_dim))
-    fake = gen.push_batch(z)
-    return (
-        rrmse(fake.mean(axis=0), test.mean(axis=0)),
-        rrmse(fake.std(axis=0), test.std(axis=0)),
-    )
+    return _moment_rrmse(gen, test.mean(axis=0), test.std(axis=0), n_samples,
+                         rng or np.random.default_rng(0))
+
+
+def _moment_rrmse(gen: Generator, ref_mean, ref_std, n_samples: int,
+                  rng: np.random.Generator) -> tuple[float, float]:
+    mean, std = gen.moments(rng.standard_normal((n_samples, gen.latent_dim)))
+    return rrmse(mean, ref_mean), rrmse(std, ref_std)
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +308,16 @@ def train_gan(dataset: Dataset, cfg: GanConfig) -> tuple[Generator, TrainDiagnos
 
     Runs cfg.n_disc_per_gen discriminator updates per generator update, all
     with RMSProp at the configured rate; deterministic for a fixed seed.
-    After each epoch the moment monitor compares generated rows with the
-    de-normalized training rows, a random 2,048 of them when there are more.
-    Raises :class:`TrainingDiverged` when a loss stops being finite.
+    After each epoch the moment monitor compares the generator's closed-form
+    moments (:meth:`Generator.moments`) with those of the de-normalized
+    training rows, a random 2,048 of them when there are more; the reference
+    moments are taken once.  Raises :class:`TrainingDiverged` when a loss
+    stops being finite.
     """
     rows = dataset.rows
     n = rows.shape[0]
-    if n == 0:
-        raise ValueError("empty dataset")
+    if n < 2:
+        raise ValueError(f"need at least 2 training rows, the dataset has {n}")
     bs = min(cfg.batch_size, n)
     if cfg.n_disc_per_gen > n // bs:
         raise ValueError(f"n_disc_per_gen={cfg.n_disc_per_gen} exceeds the {n // bs} critic"
@@ -305,6 +344,7 @@ def train_gan(dataset: Dataset, cfg: GanConfig) -> tuple[Generator, TrainDiagnos
     ref_rows = dataset.denormalized()
     if ref_rows.shape[0] > 2048:
         ref_rows = ref_rows[rng.choice(ref_rows.shape[0], 2048, replace=False)]
+    ref_mean, ref_std = ref_rows.mean(axis=0), ref_rows.std(axis=0)
 
     diag = TrainDiagnostics()
 
@@ -334,10 +374,8 @@ def train_gan(dataset: Dataset, cfg: GanConfig) -> tuple[Generator, TrainDiagnos
         mean_g = float(np.mean(g_losses))
         if not (np.isfinite(mean_d) and np.isfinite(mean_g)):
             raise TrainingDiverged(epoch)
-        rm, rs = moment_convergence(
-            gen, ref_rows, max(2, cfg.n_diag_samples),
-            np.random.default_rng(cfg.seed + 7919 + epoch),
-        )
+        rm, rs = _moment_rrmse(gen, ref_mean, ref_std, cfg.n_diag_samples,
+                               np.random.default_rng(cfg.seed + 7919 + epoch))
         diag.append(epoch, mean_d, mean_g, rm, rs)
     return gen, diag
 

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mcgan import gan
 from mcgan.autodiff import NonFiniteError, Tape, backward, concat, grad_wrt_input
 from mcgan.data import Dataset, load_dataset, save_dataset
 from mcgan.gan import (
@@ -35,6 +38,25 @@ def tiny_dataset(box: bool = True) -> Dataset:
     if not box:  # z-scored parameters, no tanh head
         return Dataset.from_raw("field", states, params)
     return Dataset.from_raw("box", states, params, [0.0, -1.0], [2.0, 1.0], meta={"n": 32})
+
+
+def tiny_generator(kind: str, rng) -> Generator:
+    """An untrained generator over tiny_dataset's 4 state columns, shaped by kind."""
+    ds = tiny_dataset(kind in ("tanh_head", "tanh_output"))
+    norm, n_param = ds.norm, ds.n_param
+    if kind == "state_only":
+        norm = Dataset.from_raw("state", ds.denormalized()[:, :4], np.zeros((32, 0))).norm
+        n_param = 0
+    if kind == "tiny_scale":  # a pressure-like column: physical rows round it away
+        shift, scale = norm.state_shift.copy(), norm.state_scale.copy()
+        shift[1], scale[1] = 5e6, 1e-9
+        norm = replace(norm, state_shift=shift, state_scale=scale)
+    spec = MlpSpec(
+        (3, *((8, 6) if kind == "two_hidden" else (8,)), 4 + n_param),
+        hidden_activation="tanh" if kind == "tanh_hidden" else "leaky_relu",
+        output_activation="tanh" if kind == "tanh_output" else "identity",
+    )
+    return Generator(init_params(spec, rng), 4, n_param, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +130,7 @@ def tape_train(dataset, cfg):
                 g_losses.append(float(l_g.value))
                 apply_step(g_state, g_params, l_g, g_nodes)
         rm, rs = moment_convergence(
-            gen, ref_rows, max(2, cfg.n_diag_samples),
+            gen, ref_rows, cfg.n_diag_samples,
             np.random.default_rng(cfg.seed + 7919 + epoch),
         )
         diag.append(epoch, np.mean(d_losses), np.mean(g_losses), rm, rs)
@@ -163,6 +185,8 @@ def test_normalisation_length_rejected(tmp_path, kind, length):
         ("epochs", 0),
         ("gp_weight", float("nan")),
         ("gp_weight", float("inf")),
+        ("n_diag_samples", 1),
+        ("n_diag_samples", 0),
     ],
 )
 def test_config_rejects_settings_that_cannot_train(field, value):
@@ -175,6 +199,17 @@ def test_train_rejects_more_critic_steps_than_an_epoch_has():
     cfg = GanConfig(latent_dim=2, batch_size=16, n_disc_per_gen=3, epochs=1, hidden=(8,))
     with pytest.raises(ValueError, match="n_disc_per_gen"):
         train_gan(tiny_dataset(), cfg)
+
+
+def test_train_rejects_a_single_row_before_any_step(monkeypatch):
+    steps = []
+    critic_step = gan._critic_step
+    monkeypatch.setattr(gan, "_critic_step", lambda *args: steps.append(1) or critic_step(*args))
+    ds = tiny_dataset()
+    one_row = Dataset("box", ds.rows[:1], ds.n_state, ds.n_param, ds.norm)
+    with pytest.raises(ValueError, match="has 1"):
+        train_gan(one_row, GanConfig(latent_dim=2, epochs=1, hidden=(8,)))
+    assert steps == []
 
 
 def assert_clear_of_kinks(params, x):
@@ -270,21 +305,49 @@ class TestClosedFormTraining:
         cfg = GanConfig(latent_dim=2, batch_size=16, epochs=2, hidden=(8, 6), n_diag_samples=8)
         train_gan(tiny_dataset(), cfg)
 
+    def test_monitor_forms_no_physical_rows(self, monkeypatch):
+        def no_rows(self, z):
+            raise AssertionError("train_gan pushed rows to physical units")
+
+        monkeypatch.setattr(Generator, "push_batch", no_rows)
+        cfg = GanConfig(latent_dim=2, batch_size=16, epochs=2, hidden=(8, 6), n_diag_samples=8)
+        train_gan(tiny_dataset(), cfg)
+
     @pytest.mark.parametrize("kind", ["tanh_head", "z_scored", "state_only"])
     def test_push_batch_matches_blockwise_denormalisation(self, kind):
         rng = np.random.default_rng(2)
-        ds = tiny_dataset(kind == "tanh_head")
-        norm, n_param = ds.norm, ds.n_param
-        if kind == "state_only":
-            norm = Dataset.from_raw("state", ds.denormalized()[:, :4], np.zeros((32, 0))).norm
-            n_param = 0
-        gen = Generator(init_params(MlpSpec((3, 8, 4 + n_param)), rng), 4, n_param, norm)
+        gen = tiny_generator(kind, rng)
+        norm, n_param = gen.norm, gen.n_param
         z = rng.standard_normal((20, 3))
         rows = gen.raw_batch(z)
         want = norm.denormalize_state(rows[:, :4])
         if n_param:
             want = np.concatenate([want, norm.denormalize_params(rows[:, 4:])], axis=1)
         np.testing.assert_array_equal(gen.push_batch(z), want)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["tanh_head", "z_scored", "state_only", "two_hidden", "tanh_hidden", "tanh_output",
+     "tiny_scale"],
+)
+def test_closed_form_moments_match_the_normalised_rows(kind):
+    rng = np.random.default_rng(6)
+    gen = tiny_generator(kind, rng)
+    for b in gen.params.biases:
+        b += rng.normal(size=b.shape)
+    z = rng.standard_normal((500, 3))
+    raw = gen.raw_batch(z)
+    scale = np.concatenate([gen.norm.state_scale, gen.norm.param_scale])
+    shift = np.concatenate([gen.norm.state_shift, gen.norm.param_shift])
+    mean, std = gen.moments(z)
+    np.testing.assert_allclose(std / scale, raw.std(axis=0), rtol=0.0, atol=1e-12)
+    # the mean carries the rounding of adding the shift, and nothing more
+    np.testing.assert_array_less(np.abs((mean - shift) / scale - raw.mean(axis=0)),
+                                 1e-12 + np.spacing(np.abs(shift)) / scale)
+    if kind == "tiny_scale":
+        rows_std = gen.push_batch(z).std(axis=0)[1] / scale[1]
+        assert abs(rows_std - raw[:, 1].std()) > 1e-3
 
 
 def test_exploding_learning_rate_raises_training_diverged():
