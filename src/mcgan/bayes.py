@@ -6,10 +6,11 @@ evidence is never computed; MAP search and MCMC only need density ratios and
 gradients, which come from one forward pass and its hand-written adjoint.
 
 Generators are duck-typed: anything exposing `latent_dim`, `n_state`,
-`n_param`, `push(z)` and `observed(z, idx)` works.  `observed` returns the
-observed state values and the map from a cotangent on them back to z, which
-keeps the module usable with analytic stand-ins (linear maps) for conjugate
-cross-checks.
+`n_param`, `push(z)`, `moments(z)` and `observed(z, idx)` works.  `moments`
+returns the pointwise mean and std of G over a batch of latent rows, and
+`observed` the observed state values and the map from a cotangent on them
+back to z, which keeps the module usable with analytic stand-ins (linear
+maps) for conjugate cross-checks.
 """
 
 from __future__ import annotations
@@ -190,32 +191,18 @@ class PosteriorStats:
     q_std: np.ndarray
     m_mean: np.ndarray
     m_std: np.ndarray
-    f_q: np.ndarray | float | None = None
-    f_m: np.ndarray | float | None = None
 
 
-def posterior_stats(samples: np.ndarray, generator, f=None) -> PosteriorStats:
-    """Monte Carlo pushforward statistics: (1/N) sum f(G(z_i)), blockwise."""
+def posterior_stats(samples: np.ndarray, generator) -> PosteriorStats:
+    """Monte Carlo pushforward mean and std of G(z_i), blockwise, by generator.moments."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[None, :]
     if samples.shape[0] < 1:
         raise ValueError("need at least one sample")
-    pushed = np.stack([generator.push(z) for z in samples])
+    mean, std = generator.moments(samples)
     nq = generator.n_state
-    q = pushed[:, :nq]
-    m = pushed[:, nq:]
-    stats = PosteriorStats(
-        q_mean=q.mean(axis=0),
-        q_std=q.std(axis=0),
-        m_mean=m.mean(axis=0),
-        m_std=m.std(axis=0),
-    )
-    if f is not None:
-        stats.f_q = np.mean([np.asarray(f(qi), dtype=float) for qi in q], axis=0)
-        if m.shape[1]:
-            stats.f_m = np.mean([np.asarray(f(mi), dtype=float) for mi in m], axis=0)
-    return stats
+    return PosteriorStats(mean[:nq], std[:nq], mean[nq:], std[nq:])
 
 
 class LinearGenerator:
@@ -232,6 +219,10 @@ class LinearGenerator:
 
     def push(self, z):
         return self.a @ z + self.offset
+
+    def moments(self, z):
+        rows = np.atleast_2d(z) @ self.a.T + self.offset
+        return rows.mean(axis=0), rows.std(axis=0)
 
     def observed(self, z, idx):
         a = self.a[idx, :]

@@ -3,15 +3,18 @@
 Offline stage: the generator learns to map a Gaussian latent space onto the
 normalized training rows.  The discriminator is driven toward the 1-Lipschitz
 dual witness by penalizing (||grad D|| - 1)^2 at points interpolated between
-real and generated rows.  The critic is leaky-ReLU, so with its slopes frozen
-the penalty's parameter gradient is two first-order sweeps (double backprop).
-Both steps run on arrays in the autodiff tape's floating-point order; the tape
-is their test oracle.  Training alternates a configurable number of
-discriminator steps per generator step, both under RMSProp.
+real and generated rows.  Both networks are leaky-ReLU with an identity
+output, so with the critic's slopes frozen the penalty's parameter gradient
+is two first-order sweeps (double backprop).  Both steps run on arrays, on
+nnet's one hidden-layer pass and one reverse sweep, in the autodiff tape's
+floating-point order; the tape is their test oracle.  Training alternates a
+configurable number of discriminator steps per generator step, both under
+RMSProp.
 
 The trained :class:`Generator` carries the de-normalization maps, exposes
-plain sampling for posterior statistics, and a column-sliced "observed head"
-so the latent posterior touches only the output entries the sensors read.
+plain sampling, closed-form pointwise moments for the training monitor and
+the posterior statistics, and a column-sliced "observed head" so the latent
+posterior touches only the output entries the sensors read.
 """
 
 from __future__ import annotations
@@ -28,12 +31,10 @@ from .nnet import (
     MlpParams,
     MlpSpec,
     RmspropState,
-    _activate,
     init_params,
     mlp_apply,
-    mlp_hidden_vjp,
-    mlp_trunk,
-    mlp_trunk_cotangents,
+    mlp_cotangents,
+    mlp_hidden_pass,
     read_layers,
     rmsprop_step,
     write_layers,
@@ -126,15 +127,12 @@ class Generator:
         A column that the last layer maps affinely, by w_j and b_j, has mean
         (h̄ @ w_j + b_j)·scale + shift and variance w_jᵀ (H_cᵀ H_c / n) w_j·scale²,
         with H_c the centred hidden features: one Gram matrix of hidden width
-        squared serves every such column.  Columns behind a nonlinearity (the
-        tanh head, or every column under a non-identity output) are formed
+        squared serves every such column.  The tanh head's columns are formed
         from the hidden features, those columns only.
         """
-        *hidden, (w, b) = zip(self.params.weights, self.params.biases)
-        h, _ = mlp_hidden_vjp(self.params.spec, hidden, np.atleast_2d(np.asarray(z, dtype=float)))
-        head = bool(self.n_param and self.norm.param_tanh)
-        act = self.params.spec.output_activation
-        k = 0 if act != "identity" else self.n_state if head else w.shape[1]
+        w, b = self.params.weights[-1], self.params.biases[-1]
+        h = mlp_hidden_pass(self.params, np.atleast_2d(np.asarray(z, dtype=float)))[0][-1]
+        k = self.n_state if self.n_param and self.norm.param_tanh else w.shape[1]
         mean, std = np.empty(w.shape[1]), np.empty(w.shape[1])
         h_mean = h.mean(axis=0)
         h_c = h - h_mean
@@ -143,9 +141,7 @@ class Generator:
         var = np.sum(((h_c.T @ h_c) @ w_k) * w_k, axis=0) / h.shape[0]
         std[:k] = np.sqrt(np.maximum(var, 0.0))
         if k < w.shape[1]:
-            bent = _activate(h @ w[:, k:] + b[k:], act)
-            if head:
-                bent[:, self.n_state - k :] = np.tanh(bent[:, self.n_state - k :])
+            bent = np.tanh(h @ w[:, k:] + b[k:])
             mean[k:] = bent.mean(axis=0)
             std[k:] = bent.std(axis=0)
         scale = np.concatenate([self.norm.state_scale, self.norm.param_scale])
@@ -169,9 +165,13 @@ class Generator:
     def observed(self, z: np.ndarray, idx):
         """Observed state values at z, and the map from a cotangent on them back to z."""
         w, b, scale, shift = self._head(idx)
-        layers = zip(self.params.weights[:-1], self.params.biases[:-1])
-        h, back = mlp_hidden_vjp(self.params.spec, layers, z)
-        return (h @ w + b) * scale + shift, lambda cot: back(w @ (cot * scale))
+        ins, slopes = mlp_hidden_pass(self.params, z)
+        weights = [*self.params.weights[:-1], w]
+
+        def back(cot):
+            return mlp_cotangents(weights, slopes, cot * scale)[0] @ weights[0].T
+
+        return (ins[-1] @ w + b) * scale + shift, back
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +188,12 @@ def _finite(loss) -> float:
     if not np.isfinite(loss):
         raise NonFiniteError("training loss is not finite")
     return float(loss)
+
+
+def _forward(params: MlpParams, x: np.ndarray):
+    """Output rows, each layer's input and each hidden layer's slopes."""
+    ins, slopes = mlp_hidden_pass(params, x)
+    return ins[-1] @ params.weights[-1] + params.biases[-1], ins, slopes
 
 
 def _add_param_grads(grads: list, ins, cots) -> list:
@@ -207,14 +213,14 @@ def _critic_step(d: MlpParams, real, fake, eps, gp_weight: float):
     add up in the tape's order: penalty, fake rows, real rows.
     """
     with np.errstate(all="ignore"):
-        out_r, ins_r, masks_r = mlp_trunk(d, real)
-        out_f, ins_f, masks_f = mlp_trunk(d, fake)
+        out_r, ins_r, slopes_r = _forward(d, real)
+        out_f, ins_f, slopes_f = _forward(d, fake)
         loss = _mean(out_r) * -1.0 + _mean(out_f)
         grads = [None] * (2 * len(d.weights))
         if gp_weight > 0.0:
             mix = eps[:, None] * real + (1.0 - eps[:, None]) * fake
-            out_h, _, masks = mlp_trunk(d, mix)
-            cots = mlp_trunk_cotangents(d, masks, np.ones(out_h.shape))
+            _, slopes = mlp_hidden_pass(d, mix)
+            cots = mlp_cotangents(d.weights, slopes, np.ones((mix.shape[0], 1)))
             g = cots[0] @ d.weights[0].T
             norm = np.sqrt(np.sum(g * g, axis=1))
             dev = norm + -1.0
@@ -223,27 +229,27 @@ def _critic_step(d: MlpParams, real, fake, eps, gp_weight: float):
             t = g * (cot / (norm + 1e-300))[:, None]
             for k, c in enumerate(cots):
                 grads[2 * k] = t.T @ c
-                if k < len(masks):
-                    t = (t @ d.weights[k]) * masks[k]
+                if k < len(slopes):
+                    t = (t @ d.weights[k]) * slopes[k]
         per_row = np.full(out_f.shape, 1.0 / out_f.size)
-        _add_param_grads(grads, ins_f, mlp_trunk_cotangents(d, masks_f, per_row))
-        _add_param_grads(grads, ins_r, mlp_trunk_cotangents(d, masks_r, per_row * -1.0))
+        _add_param_grads(grads, ins_f, mlp_cotangents(d.weights, slopes_f, per_row))
+        _add_param_grads(grads, ins_r, mlp_cotangents(d.weights, slopes_r, per_row * -1.0))
     return _finite(loss), grads
 
 
 def _generator_step(gen: Generator, d: MlpParams, z: np.ndarray):
     """Generator loss -mean D(G(z)), critic held fixed, and the generator's gradients."""
     with np.errstate(all="ignore"):
-        fake, ins, masks = mlp_trunk(gen.params, z)
+        fake, ins, slopes = _forward(gen.params, z)
         head = gen._squash(fake)
-        score, _, masks_d = mlp_trunk(d, fake)
+        score, _, slopes_d = _forward(d, fake)
         loss = _mean(score) * -1.0
         per_row = np.full(score.shape, 1.0 / score.size) * -1.0
-        cot = mlp_trunk_cotangents(d, masks_d, per_row)[0] @ d.weights[0].T
+        cot = mlp_cotangents(d.weights, slopes_d, per_row)[0] @ d.weights[0].T
         if head:
             par = fake[:, gen.n_state :]
             cot[:, gen.n_state :] *= 1.0 - par * par
-        cots = mlp_trunk_cotangents(gen.params, masks, cot)
+        cots = mlp_cotangents(gen.params.weights, slopes, cot)
         grads = _add_param_grads([None] * (2 * len(gen.params.weights)), ins, cots)
     return _finite(loss), grads
 
@@ -324,18 +330,8 @@ def train_gan(dataset: Dataset, cfg: GanConfig) -> tuple[Generator, TrainDiagnos
                          " steps of an epoch, so the generator would never step")
     rng = np.random.default_rng(cfg.seed)
     width = dataset.n_state + dataset.n_param
-    g_spec = MlpSpec(
-        (cfg.latent_dim, *cfg.hidden, width),
-        hidden_activation="leaky_relu",
-        output_activation="identity",
-    )
-    d_spec = MlpSpec(
-        (width, *cfg.hidden, 1),
-        hidden_activation="leaky_relu",
-        output_activation="identity",
-    )
-    g_params = init_params(g_spec, rng)
-    d_params = init_params(d_spec, rng)
+    g_params = init_params(MlpSpec((cfg.latent_dim, *cfg.hidden, width)), rng)
+    d_params = init_params(MlpSpec((width, *cfg.hidden, 1)), rng)
     gen = Generator(g_params, dataset.n_state, dataset.n_param, dataset.norm,
                     meta=dict(dataset.meta))
     g_state = RmspropState.for_params(g_params, cfg.lr)

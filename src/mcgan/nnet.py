@@ -1,6 +1,11 @@
 """Dense networks on arrays and on the autodiff tape, the RMSProp optimizer,
 and the checkpoint container that networks, generators and datasets share.
 
+Every network is one shape: leaky-ReLU hidden layers and an identity output.
+On arrays there is one hidden-layer pass and one reverse sweep; inference,
+the closed-form moments and both training steps share them.  The tape
+helpers build the same network for the test oracles and the bench's probe.
+
 Desk-scale stand-in for the convolutional architectures used at full scale:
 state fields are flattened to vectors, so plain MLPs suffice.
 """
@@ -15,10 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Node, NonFiniteError, Tape, _leaky_mask, leaky_relu
-
-HIDDEN_ACTIVATIONS = ("tanh", "leaky_relu")
-OUTPUT_ACTIVATIONS = ("identity", "tanh")
+from .autodiff import Node, NonFiniteError, Tape, _leaky_mask
 
 RMSPROP_DECAY = 0.99
 RMSPROP_EPS = 1e-8
@@ -26,11 +28,9 @@ RMSPROP_EPS = 1e-8
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Layer widths and activation choices for a dense network."""
+    """Layer widths of a leaky-ReLU network with an identity output."""
 
     widths: tuple[int, ...]
-    hidden_activation: str = "leaky_relu"
-    output_activation: str = "identity"
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
@@ -38,10 +38,6 @@ class MlpSpec:
             raise ValueError("an MLP needs at least input and output widths")
         if any(w < 1 for w in self.widths):
             raise ValueError("all layer widths must be >= 1")
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ValueError(f"unknown hidden activation {self.hidden_activation!r}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(f"unknown output activation {self.output_activation!r}")
 
     @property
     def in_width(self) -> int:
@@ -92,71 +88,39 @@ def init_params(spec: MlpSpec, rng: np.random.Generator) -> MlpParams:
     return MlpParams(spec, weights, biases)
 
 
-def _activate(h, name: str):
-    """Apply the named activation to a numpy array or a tape node."""
-    if name == "tanh":
-        return h.tanh() if isinstance(h, Node) else np.tanh(h)
-    if name == "leaky_relu":
-        return h.leaky_relu() if isinstance(h, Node) else leaky_relu(h)
+def mlp_hidden(layers, x: Node) -> Node:
+    """Hidden features on the tape: affine map then leaky ReLU, per (w, b)."""
+    h = x
+    for w, b in layers:
+        h = (h @ w + b).leaky_relu()
     return h
 
 
-def mlp_hidden(spec: MlpSpec, layers, x: Node) -> Node:
-    """Hidden features on the tape: affine map then the hidden activation, per (w, b)."""
-    h = x
-    for w, b in layers:
-        h = _activate(h @ w + b, spec.hidden_activation)
-    return h
+def mlp_hidden_pass(params: MlpParams, x: np.ndarray):
+    """Hidden layers on arrays: every layer's input, and every hidden layer's slopes.
 
-
-def mlp_hidden_vjp(spec: MlpSpec, layers, x: np.ndarray):
-    """Hidden features of an array input, and the map from a cotangent on them to x.
-
-    Per layer, in reverse, the cotangent becomes w @ (cot * slope), with the
-    slopes of the tape's adjoints, so value and gradient match the tape's bits.
+    ins[0] is x and ins[-1] the last hidden features; the output layer is left
+    to the caller, which may need only some of its columns, or none.
     """
-    h = x
-    seen = []
-    for w, b in layers:
-        pre = h @ w + b
-        h = _activate(pre, spec.hidden_activation)
-        seen.append((w, pre, h))
-
-    def back(cot):
-        for w, pre, out in reversed(seen):
-            if spec.hidden_activation == "leaky_relu":
-                slope = _leaky_mask(pre)
-            else:
-                slope = 1.0 - out * out
-            cot = w @ (cot * slope)
-        return cot
-
-    return h, back
-
-
-def mlp_trunk(params: MlpParams, x: np.ndarray):
-    """Leaky-ReLU network with an identity output, on a batch of array rows.
-
-    Returns the output, each layer's input and each hidden layer's slopes,
-    which :func:`mlp_trunk_cotangents` and the parameter gradients need.
-    """
-    ins, masks = [x], []
+    ins, slopes = [x], []
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         pre = ins[-1] @ w + b
-        masks.append(_leaky_mask(pre))
-        ins.append(pre * masks[-1])
-    return ins[-1] @ params.weights[-1] + params.biases[-1], ins, masks
+        slopes.append(_leaky_mask(pre))
+        pre *= slopes[-1]  # in place: one fewer array per layer to allocate
+        ins.append(pre)
+    return ins, slopes
 
 
-def mlp_trunk_cotangents(params: MlpParams, masks, cot: np.ndarray) -> list[np.ndarray]:
+def mlp_cotangents(weights, slopes, cot: np.ndarray) -> list[np.ndarray]:
     """Cotangent at each layer's pre-activation, first layer first, from the output's.
 
     Per layer, in reverse, the cotangent becomes (cot @ w.T) * slope, as the
-    tape's adjoints compute it, so the bits match the tape's.
+    tape's adjoints compute it, so the bits match the tape's.  weights may end
+    in a column-sliced output layer; cots[0] @ weights[0].T is the input's.
     """
     cots = [cot]
-    for w, mask in zip(params.weights[:0:-1], masks[::-1]):
-        cots.append((cots[-1] @ w.T) * mask)
+    for w, slope in zip(weights[:0:-1], slopes[::-1]):
+        cots.append((cots[-1] @ w.T) * slope)
     return cots[::-1]
 
 
@@ -184,16 +148,16 @@ def params_on_tape(params: MlpParams, tape: Tape) -> list[tuple[Node, Node]]:
 def mlp_forward_nodes(
     spec: MlpSpec, layer_nodes: list[tuple[Node, Node]], x: Node
 ) -> Node:
-    """Forward pass with parameters already living on the tape."""
+    """Forward pass with parameters already living on the tape; the layer
+    nodes carry the shape that spec names."""
     *hidden, (w, b) = layer_nodes
-    return _activate(mlp_hidden(spec, hidden, x) @ w + b, spec.output_activation)
+    return mlp_hidden(hidden, x) @ w + b
 
 
 def mlp_apply(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Tape-free forward pass for sampling loops where gradients are not needed."""
-    *hidden, (w, b) = zip(params.weights, params.biases)
-    h, _ = mlp_hidden_vjp(params.spec, hidden, np.asarray(x, dtype=np.float64))
-    return _activate(h @ w + b, params.spec.output_activation)
+    ins, _ = mlp_hidden_pass(params, np.asarray(x, dtype=np.float64))
+    return ins[-1] @ params.weights[-1] + params.biases[-1]
 
 
 @dataclass
@@ -230,6 +194,9 @@ def rmsprop_step(state: RmspropState, params: MlpParams, grads: list[np.ndarray]
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"MCGW"
+# the network's one shape, still written out so that files from a network of
+# another shape are refused rather than read as this one
+_ACTIVATIONS = {"hidden_activation": "leaky_relu", "output_activation": "identity"}
 CHECKPOINT_VERSION = 1
 _PREFIX = struct.Struct("<4sII")  # magic, version, header length
 
@@ -294,12 +261,7 @@ def read_checkpoint(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
 
 def write_layers(path, params: MlpParams, header: dict, blobs: dict | None = None) -> None:
     """Write a network's spec and layer blobs, plus the caller's header and blobs."""
-    spec = params.spec
-    header = dict(header, spec={
-        "widths": list(spec.widths),
-        "hidden_activation": spec.hidden_activation,
-        "output_activation": spec.output_activation,
-    })
+    header = dict(header, spec={"widths": list(params.spec.widths), **_ACTIVATIONS})
     blobs = dict(blobs or {})
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         blobs[f"w{i:03d}"] = w
@@ -311,9 +273,11 @@ def read_layers(path, kind: str) -> tuple[MlpParams, dict, dict[str, np.ndarray]
     """Read a network written by :func:`write_layers` under the given kind."""
     header, blobs = read_checkpoint(path, kind)
     sp = header["spec"]
-    spec = MlpSpec(
-        tuple(sp["widths"]), sp["hidden_activation"], sp["output_activation"]
-    )
+    for key, want in _ACTIVATIONS.items():
+        if sp.get(key) != want:
+            raise ValueError(f"{path}: {key} is {sp.get(key)!r}, but every network is"
+                             " leaky-ReLU with an identity output")
+    spec = MlpSpec(tuple(sp["widths"]))
     nlayers = len(spec.widths) - 1
     params = MlpParams(
         spec,

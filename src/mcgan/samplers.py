@@ -5,8 +5,8 @@ grow by tree doubling until the momentum turns against the endpoint
 displacement, proposals are drawn from the whole tree with weights exp(-H),
 and the step size adapts by dual averaging toward a target acceptance
 statistic during warmup.  Subtrees and the trajectory grow by one rule, `_merge`.
-A metric L L^T is applied by sampling u in z = z_bar + L u.  A plain HMC step
-and a random-walk Metropolis step are provided as baselines and cross-checks.
+A metric L L^T is applied from outside, by sampling u in z = z_bar + L u.  A
+random-walk Metropolis step is provided as a derivative-free baseline.
 
 Targets are duck-typed: either a callable z -> (logp, grad) or an object with
 a `logp_and_grad` method (the latent posterior).  Random-walk MH only needs
@@ -24,8 +24,6 @@ __all__ = [
     "HmcConfig",
     "Chain",
     "leapfrog",
-    "hmc_step",
-    "hmc_sample",
     "nuts_sample",
     "mh_step",
     "mh_sample",
@@ -134,7 +132,7 @@ def _leap(target, pt: _Point, eps: float) -> _Point:
 
 
 def leapfrog(z, p, eps: float, grad_u):
-    """One symplectic step of the Hamiltonian flow: the step NUTS and HMC take.
+    """One symplectic step of the Hamiltonian flow: the step NUTS takes.
 
     grad_u returns the potential gradient (the negative log-density gradient).
     Half kick, full drift at unit mass, half kick.
@@ -153,49 +151,6 @@ def leapfrog(z, p, eps: float, grad_u):
 
 def _energy(pt: _Point) -> float:
     return -pt.logp + 0.5 * float(np.dot(pt.p, pt.p))
-
-
-def hmc_step(target, z, n_leapfrog: int, eps: float, rng):
-    """Single Hamiltonian Monte Carlo transition at unit mass.
-
-    Fresh standard normal momentum, n_leapfrog steps, and acceptance with
-    probability min(1, exp(H(start) - H(end))); the kinetic energy is even in
-    p, so the momentum flip is left out.  Returns (z_new, logp_new, accepted).
-    """
-    target = _as_target(target)
-    z = np.asarray(z, dtype=float)
-    logp0, grad0 = target(z)
-    p0 = rng.standard_normal(z.shape)
-    pt = _Point(z=z, p=p0, logp=float(logp0), grad=np.asarray(grad0, float))
-    h0 = _energy(pt)
-    try:
-        for _ in range(n_leapfrog):
-            pt = _leap(target, pt, eps)
-    except ValueError:
-        return z, float(logp0), False
-    h1 = _energy(pt)
-    log_alpha = h0 - h1
-    if np.isfinite(log_alpha) and np.log(rng.uniform()) < min(0.0, log_alpha):
-        return pt.z, pt.logp, True
-    return z, float(logp0), False
-
-
-def hmc_sample(
-    target, z0, n_samples: int, n_leapfrog: int, eps: float, seed: int = 0,
-    warmup: int = 0,
-) -> Chain:
-    """Fixed-step HMC chain; records every state including warmup."""
-    target_fn = _as_target(target)
-    rng = np.random.default_rng(seed)
-    z = np.asarray(z0, dtype=float).copy()
-    logp, _ = target_fn(z)
-    samples, logps, moved = [], [], []
-    for _ in range(n_samples):
-        z, logp, acc = hmc_step(target_fn, z, n_leapfrog, eps, rng)
-        samples.append(z.copy())
-        logps.append(logp)
-        moved.append(acc)
-    return Chain(np.array(samples), np.array(logps), np.array(moved), warmup)
 
 
 def find_reasonable_epsilon(target, z, rng) -> float:

@@ -14,8 +14,10 @@ from mcgan.nnet import (
     load_mlp,
     mlp_apply,
     mlp_forward,
+    read_checkpoint,
     rmsprop_step,
     save_mlp,
+    write_checkpoint,
 )
 
 
@@ -28,22 +30,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             MlpSpec((4, 0, 2))
 
-    def test_unknown_activation(self):
-        with pytest.raises(ValueError):
-            MlpSpec((2, 2), hidden_activation="relu6")
-
 
 class TestForward:
     def test_zero_weights_give_activated_bias(self):
-        spec = MlpSpec((3, 2), output_activation="tanh")
+        # the hidden layer sees only its bias; an identity output layer passes it on
+        spec = MlpSpec((3, 2, 2))
         b = np.array([0.5, -1.0])
-        params = MlpParams(spec, [np.zeros((3, 2))], [b.copy()])
+        params = MlpParams(spec, [np.zeros((3, 2)), np.eye(2)], [b.copy(), np.zeros(2)])
         tape = Tape()
-        out = mlp_forward(params, tape.const(np.array([9.0, -3.0, 1.0])))
-        np.testing.assert_allclose(out.value, np.tanh(b))
+        x = np.array([9.0, -3.0, 1.0])
+        np.testing.assert_array_equal(mlp_forward(params, tape.const(x)).value, [0.5, -0.2])
+        np.testing.assert_array_equal(mlp_apply(params, x), [0.5, -0.2])
 
     def test_identity_network(self):
-        spec = MlpSpec((4, 4), output_activation="identity")
+        spec = MlpSpec((4, 4))
         params = MlpParams(spec, [np.eye(4)], [np.zeros(4)])
         x = np.array([1.0, -2.0, 3.0, 0.25])
         tape = Tape()
@@ -52,7 +52,7 @@ class TestForward:
 
     def test_batched_rows_match_unbatched(self):
         rng = np.random.default_rng(0)
-        spec = MlpSpec((3, 5, 2), hidden_activation="tanh")
+        spec = MlpSpec((3, 5, 2))
         params = init_params(spec, rng)
         xb = rng.normal(size=(6, 3))
         tape = Tape()
@@ -70,7 +70,7 @@ class TestForward:
 
     def test_tape_free_apply_matches_tape(self):
         rng = np.random.default_rng(1)
-        spec = MlpSpec((4, 6, 3), hidden_activation="leaky_relu", output_activation="tanh")
+        spec = MlpSpec((4, 6, 3))
         params = init_params(spec, rng)
         x = rng.normal(size=(5, 4))
         tape = Tape()
@@ -154,7 +154,7 @@ class TestInit:
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(17)
-        params = init_params(MlpSpec((3, 4, 2), output_activation="tanh"), rng)
+        params = init_params(MlpSpec((3, 4, 2)), rng)
         path = tmp_path / "net.mcgw"
         save_mlp(path, params, extra={"note": "unit"})
         loaded, extra = load_mlp(path)
@@ -206,5 +206,19 @@ def test_damaged_container_rejected(tmp_path, write, damage):
     load = write(path)
     load(path)
     path.write_bytes(DAMAGE[damage](path.read_bytes()))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load(path)
+
+
+@pytest.mark.parametrize("key", ["hidden_activation", "output_activation"])
+@pytest.mark.parametrize("write, kind", [(write_mlp, "mlp"), (write_generator, "generator")])
+def test_tanh_network_file_rejected(tmp_path, write, kind, key):
+    # a file from a network of another shape must not load as leaky-ReLU
+    path = tmp_path / "file.bin"
+    load = write(path)
+    header, blobs = read_checkpoint(path, kind)
+    assert header["spec"][key] in ("leaky_relu", "identity")
+    header["spec"][key] = "tanh"
+    write_checkpoint(path, header, blobs)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load(path)

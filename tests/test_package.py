@@ -1,11 +1,14 @@
 import ast
 import importlib
+import pkgutil
 import sys
 try:
     import tomllib
 except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 from pathlib import Path
+
+import mcgan
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -42,3 +45,14 @@ def test_package_imports_only_numpy_and_the_standard_library():
                 found.add((path.name, node.module.split(".")[0]))
     assert found
     assert sorted((f, m) for f, m in found if m not in allowed) == []
+
+
+def test_every_all_name_resolves():
+    # a stale export (a deleted function left in __all__) breaks `from ... import *`
+    checked = []
+    for info in pkgutil.walk_packages(mcgan.__path__, "mcgan."):
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            checked.append(name)
+            assert hasattr(module, name), f"{info.name}.{name}"
+    assert checked

@@ -73,7 +73,7 @@ class TestMatern:
             MaternConfig(length=float("nan"))
 
 
-class TestJacobi:
+class TestKlDecompose:
     def test_identity(self):
         basis = kl_decompose(np.eye(5))
         np.testing.assert_allclose(basis.eigenvalues, np.ones(5))

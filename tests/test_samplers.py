@@ -6,8 +6,6 @@ from mcgan.samplers import (
     HmcConfig,
     ergodic_average,
     find_reasonable_epsilon,
-    hmc_sample,
-    hmc_step,
     leapfrog,
     mh_sample,
     mh_step,
@@ -82,38 +80,6 @@ class TestLeapfrog:
             leapfrog(np.zeros(1), np.zeros(1), 0.1, lambda _: np.array([np.nan]))
 
 
-class TestHmcStep:
-    def test_tiny_step_always_accepts(self):
-        rng = np.random.default_rng(0)
-        z = np.array([0.3, -0.8])
-        for _ in range(20):
-            z, _, accepted = hmc_step(std_normal_target, z, 1, 1e-8, rng)
-            assert accepted
-
-    def test_infinite_energy_proposal_rejected(self):
-        def boxed(z):
-            if np.any(np.abs(z) > 1.0):
-                return -np.inf, np.zeros_like(z)
-            return 0.0, np.zeros_like(z)
-
-        rng = np.random.default_rng(1)
-        z = np.array([0.9])
-        for _ in range(20):
-            # the huge step guarantees the proposal leaves the box
-            z2, _, accepted = hmc_step(boxed, z, 1, 1e6, rng)
-            assert not accepted
-            np.testing.assert_array_equal(z2, z)
-
-    def test_standard_normal_moments(self):
-        chain = hmc_sample(
-            std_normal_target, np.zeros(3), 20000, n_leapfrog=8, eps=0.5,
-            seed=3, warmup=500,
-        )
-        kept = chain.post_burn()
-        assert np.all(np.abs(kept.mean(axis=0)) < 0.05)
-        assert np.all(np.abs(kept.var(axis=0) - 1.0) < 0.1)
-
-
 class TestNuts:
     def test_correlated_gaussian_covariance(self):
         target, cov = correlated_gaussian_target(0.9)
@@ -138,13 +104,24 @@ class TestNuts:
         assert chain.burn_in == 50
         assert chain.post_burn().shape == (150, 1)
 
-    def test_agrees_with_hmc_on_gaussian(self):
-        target, _ = correlated_gaussian_target(0.6)
-        nuts = nuts_sample(target, HmcConfig(warmup=500, seed=1), 4500, np.zeros(2))
-        hmc = hmc_sample(target, np.zeros(2), 4500, 10, 0.4, seed=2, warmup=500)
-        v1 = nuts.post_burn().var(axis=0)
-        v2 = hmc.post_burn().var(axis=0)
-        np.testing.assert_allclose(v1, v2, rtol=0.15)
+    def test_never_leaves_a_box_of_finite_density(self):
+        # a standard normal cut to [-1, 1]^2: every leaf outside is divergent
+        def boxed(z):
+            logp = -0.5 * float(z @ z) if np.all(np.abs(z) <= 1.0) else -np.inf
+            return logp, -z
+
+        chain = nuts_sample(boxed, HmcConfig(warmup=200, seed=3), 2200, np.zeros(2))
+        assert np.all(np.abs(chain.samples) <= 1.0)
+        assert np.all(np.isfinite(chain.log_densities))
+        assert chain.acceptance_rate > 0.5
+
+    def test_all_divergent_warmup_raises(self):
+        # finite only at the start point, so every leapfrog leaf diverges
+        def point(z):
+            return (-np.inf if np.any(z) else 0.0), np.zeros_like(z)
+
+        with pytest.raises(RuntimeError, match="every warmup step diverged"):
+            nuts_sample(point, HmcConfig(warmup=10, seed=0), 20, np.zeros(2))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -234,9 +211,7 @@ class TestErgodicAverage:
         np.testing.assert_allclose(ergodic_average(chain, lambda z: z), z_star)
 
     def test_second_moment_of_standard_normal(self):
-        chain = hmc_sample(
-            std_normal_target, np.zeros(1), 20000, 8, 0.5, seed=9, warmup=1000
-        )
+        chain = nuts_sample(std_normal_target, HmcConfig(warmup=1000, seed=9), 21000, np.zeros(1))
         vals = np.array([float(z @ z) for z in chain.post_burn()])
         nb = 20
         bm = vals[: (vals.size // nb) * nb].reshape(nb, -1).mean(axis=1)
