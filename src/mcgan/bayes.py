@@ -1,9 +1,11 @@
-"""Probability core: likelihoods, the latent posterior, MAP, posterior stats.
+"""Probability core: the observation noise, the latent posterior, MAP, posterior stats.
 
 The latent posterior replaces the PDE forward map with the trained generator:
-log rho(z | y) = log rho_eta(y - h(G(z))) + log rho_z(z), unnormalized.  The
-evidence is never computed; MAP search and MCMC only need density ratios and
-gradients, which come from one forward pass and its hand-written adjoint.
+log rho(z | y) = log rho_eta(y - h(G(z))) + log rho_z(z), unnormalized.  Every
+posterior carries an observation operator, a noise model and sensor data y;
+there is no prior-only mode.  The evidence is never computed; MAP search and
+MCMC only need density ratios and gradients, which come from one forward pass
+and its hand-written adjoint.
 
 Generators are duck-typed: anything exposing `latent_dim`, `n_state`,
 `n_param`, `push(z)`, `moments(z)` and `observed(z, idx)` works.  `moments`
@@ -44,56 +46,24 @@ class GaussianNoise:
             raise ValueError("noise std length does not match observation count")
         return self.std
 
-    def log_density(self, residual: np.ndarray) -> float:
-        r = np.asarray(residual, dtype=float).ravel()
-        s = self.expanded(r.size)
-        return float(
-            -0.5 * np.sum((r / s) ** 2) - np.sum(np.log(s)) - 0.5 * r.size * LOG_2PI
-        )
-
-
-def log_likelihood(state_vector, y, op, noise: GaussianNoise) -> float:
-    """Gaussian data log-density of observations given a full state vector."""
-    from .forward import observe
-
-    predicted = observe(state_vector, op)
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape != predicted.shape:
-        raise ValueError("observation vector length mismatch")
-    return noise.log_density(y - predicted)
-
 
 class LatentPosterior:
-    """Unnormalized posterior over the generator's latent space.
+    """Unnormalized posterior over the generator's latent space, given sensor data y."""
 
-    With no observations (op is None) it reduces to the latent prior, which is
-    occasionally useful for smoke checks.
-    """
-
-    def __init__(self, generator, op=None, noise: GaussianNoise | None = None, y=None):
+    def __init__(self, generator, op, noise: GaussianNoise, y):
         self.generator = generator
         self.op = op
         self.latent_prior = LatentPrior(generator.latent_dim)
         self._prior_const = -0.5 * self.latent_prior.dim * LOG_2PI
-        if op is None:
-            if y is not None and np.size(y) > 0:
-                raise ValueError("observations supplied without an operator")
-            self.noise = None
-            self.y = np.zeros(0)
-        else:
-            if noise is None:
-                raise ValueError("observation operator requires a noise model")
-            self.y = np.asarray(y, dtype=float).ravel()
-            if self.y.size != op.n_obs:
-                raise ValueError(
-                    f"got {self.y.size} observations for an operator with {op.n_obs}"
-                )
-            self.noise = noise
-            std = noise.expanded(op.n_obs)
-            self._inv_std = 1.0 / std
-            self._loglik_const = float(
-                -np.sum(np.log(std)) - 0.5 * op.n_obs * LOG_2PI
+        self.y = np.asarray(y, dtype=float).ravel()
+        if self.y.size != op.n_obs:
+            raise ValueError(
+                f"got {self.y.size} observations for an operator with {op.n_obs}"
             )
+        self.noise = noise
+        std = noise.expanded(op.n_obs)
+        self._inv_std = 1.0 / std
+        self._loglik_const = float(-np.sum(np.log(std)) - 0.5 * op.n_obs * LOG_2PI)
 
     def _forward(self, z):
         """The log posterior at z, and a thunk for its gradient: one pass, one adjoint.
@@ -103,8 +73,6 @@ class LatentPosterior:
         """
         z = as_tensor(z)
         log_prior = np.sum(z * z) * -0.5 + self._prior_const
-        if self.op is None:
-            return float(log_prior), lambda: -z
         h, back = self.generator.observed(z, self.op.indices)
         s = (self.y - h) * self._inv_std
         log_lik = np.sum(s * s) * -0.5 + self._loglik_const

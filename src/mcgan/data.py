@@ -1,9 +1,11 @@
 """Training datasets: joint state-parameter rows with their normalization.
 
-Rows are stored normalized: state entries z-scored per grid point against the
-training set, parameters mapped affinely onto [-1, 1] from prior bounds (a
-tanh head then keeps generated parameters inside the box) or z-scored like the
-state when no bounds exist (field-valued parameters).
+Every row carries a state block and a parameter block of width >= 1: the
+method estimates both at once.  Rows are stored normalized: state entries
+z-scored per grid point against the training set, parameters mapped affinely
+onto [-1, 1] from prior bounds (a tanh head then keeps generated parameters
+inside the box) or z-scored like the state when no bounds exist (field-valued
+parameters).
 
 Files use the shared checkpoint container (:func:`mcgan.nnet.write_checkpoint`)
 with kind "dataset": the header holds the problem id, block split, tanh flag
@@ -49,13 +51,9 @@ class Normalization:
             p_shift = 0.5 * (lo + hi)
             p_scale = 0.5 * (hi - lo)
             tanh = True
-        elif params.shape[1]:
+        else:
             p_shift = params.mean(axis=0)
             p_scale = np.maximum(params.std(axis=0), STD_FLOOR)
-            tanh = False
-        else:
-            p_shift = np.zeros(0)
-            p_scale = np.ones(0)
             tanh = False
         return cls(s_shift, s_scale, p_shift, p_scale, tanh)
 
@@ -74,8 +72,6 @@ class Normalization:
 
     def normalize(self, states: np.ndarray, params: np.ndarray) -> np.ndarray:
         q = (states - self.state_shift) / self.state_scale
-        if params.shape[1] == 0:
-            return q
         m = (params - self.param_shift) / self.param_scale
         if self.param_tanh and np.any(np.abs(m) > 1.0):
             raise ValueError("parameters outside their prior box")
@@ -100,6 +96,8 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.n_param < 1:
+            raise ValueError(f"n_param is {self.n_param}: every row needs a parameter block")
         if self.rows.ndim != 2 or self.rows.shape[1] != self.n_state + self.n_param:
             raise ValueError("row width does not match the block split")
 
@@ -135,8 +133,6 @@ class Dataset:
         """Rows in physical units (tanh on the parameter head is *not* undone:
         stored parameter columns are pre-squash values in [-1, 1])."""
         q = self.norm.denormalize_state(self.rows[:, : self.n_state])
-        if self.n_param == 0:
-            return q
         m = self.norm.denormalize_params(self.rows[:, self.n_state :])
         return np.concatenate([q, m], axis=1)
 

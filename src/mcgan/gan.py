@@ -19,7 +19,6 @@ posterior touches only the output entries the sensors read.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +83,8 @@ class Generator:
 
     def __init__(self, params: MlpParams, n_state: int, n_param: int,
                  norm: Normalization, meta: dict | None = None):
+        if n_param < 1:
+            raise ValueError(f"n_param is {n_param}: every generated row needs a parameter block")
         if params.spec.out_width != n_state + n_param:
             raise ValueError("output width must equal state length + parameter length")
         self.params = params
@@ -105,7 +106,7 @@ class Generator:
 
     def _squash(self, rows: np.ndarray) -> bool:
         """Apply the tanh parameter head to rows in place; True when there is one."""
-        head = bool(self.n_param and self.norm.param_tanh)
+        head = bool(self.norm.param_tanh)
         if head:
             rows[:, self.n_state :] = np.tanh(rows[:, self.n_state :])
         return head
@@ -132,7 +133,7 @@ class Generator:
         """
         w, b = self.params.weights[-1], self.params.biases[-1]
         h = mlp_hidden_pass(self.params, np.atleast_2d(np.asarray(z, dtype=float)))[0][-1]
-        k = self.n_state if self.n_param and self.norm.param_tanh else w.shape[1]
+        k = self.n_state if self.norm.param_tanh else w.shape[1]
         mean, std = np.empty(w.shape[1]), np.empty(w.shape[1])
         h_mean = h.mean(axis=0)
         h_c = h - h_mean
@@ -271,35 +272,11 @@ class TrainDiagnostics:
         self.rrmse_mean.append(float(rm))
         self.rrmse_std.append(float(rs))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "d_loss", "g_loss", "rrmse_mean", "rrmse_std"])
-            for row in zip(
-                self.epochs, self.d_loss, self.g_loss, self.rrmse_mean, self.rrmse_std
-            ):
-                writer.writerow([row[0]] + [repr(v) for v in row[1:]])
-
-
-def moment_convergence(
-    gen: Generator, test_rows: np.ndarray, n_samples: int,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
-    """RRMSE of pointwise mean and std between generated and reference rows.
-
-    Both sides live in physical units: the reference moments are those of the
-    de-normalized data rows, the generated ones come in closed form from
-    :meth:`Generator.moments` at n_samples latent draws.
-    """
-    test = np.asarray(test_rows, dtype=float)
-    if n_samples < 2 or test.shape[0] < 2:
-        raise ValueError("need at least two samples on both sides")
-    return _moment_rrmse(gen, test.mean(axis=0), test.std(axis=0), n_samples,
-                         rng or np.random.default_rng(0))
-
 
 def _moment_rrmse(gen: Generator, ref_mean, ref_std, n_samples: int,
                   rng: np.random.Generator) -> tuple[float, float]:
+    """RRMSE of the pointwise mean and std against reference moments, in physical
+    units; the generated side comes in closed form from n_samples latent draws."""
     mean, std = gen.moments(rng.standard_normal((n_samples, gen.latent_dim)))
     return rrmse(mean, ref_mean), rrmse(std, ref_std)
 

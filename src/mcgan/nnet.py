@@ -1,5 +1,5 @@
 """Dense networks on arrays and on the autodiff tape, the RMSProp optimizer,
-and the checkpoint container that networks, generators and datasets share.
+and the checkpoint container that generators and datasets share.
 
 Every network is one shape: leaky-ReLU hidden layers and an identity output.
 On arrays there is one hidden-layer pass and one reverse sweep; inference,
@@ -190,7 +190,7 @@ def rmsprop_step(state: RmspropState, params: MlpParams, grads: list[np.ndarray]
 
 # ---------------------------------------------------------------------------
 # Checkpoint container: magic "MCGW", version, JSON header, f64 blobs.  One
-# format for datasets, networks and generators; the header's "kind" says which.
+# format for datasets and generators; the header's "kind" says which.
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"MCGW"
@@ -199,6 +199,17 @@ CHECKPOINT_MAGIC = b"MCGW"
 _ACTIVATIONS = {"hidden_activation": "leaky_relu", "output_activation": "identity"}
 CHECKPOINT_VERSION = 1
 _PREFIX = struct.Struct("<4sII")  # magic, version, header length
+
+
+class _Fields(dict):
+    """A checkpoint's header or blobs: a missing key is a ValueError naming the file."""
+
+    def __init__(self, path, what: str, items=()):
+        super().__init__(items)
+        self.path, self.what = path, what
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.path}: checkpoint has no {self.what} {key!r}")
 
 
 def write_checkpoint(path, header: dict, blobs: dict[str, np.ndarray]) -> None:
@@ -223,7 +234,8 @@ def read_checkpoint(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container whose header names `kind`.
 
     Rejects a short or foreign prefix, a header or blob cut short, and bytes
-    after the last blob, each with a ValueError naming the file.
+    after the last blob, each with a ValueError naming the file.  A later
+    lookup of a header key or blob that the file lacks raises one too.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -238,13 +250,13 @@ def read_checkpoint(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     if off > len(raw):
         raise ValueError(f"{path}: header runs past the end of the file")
     try:
-        header = json.loads(raw[_PREFIX.size : off].decode("utf-8"))
+        header = _Fields(path, "header key", json.loads(raw[_PREFIX.size : off].decode("utf-8")))
         manifest = {name: tuple(shape) for name, shape in header["blobs"].items()}
         if any(not isinstance(d, int) or d < 0 for s in manifest.values() for d in s):
             raise ValueError("negative or non-integer blob extent")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: malformed checkpoint header") from exc
-    blobs: dict[str, np.ndarray] = {}
+    blobs = _Fields(path, "blob")
     for name in sorted(manifest):
         nbytes = 8 * math.prod(manifest[name])
         if off + nbytes > len(raw):
@@ -272,7 +284,9 @@ def write_layers(path, params: MlpParams, header: dict, blobs: dict | None = Non
 def read_layers(path, kind: str) -> tuple[MlpParams, dict, dict[str, np.ndarray]]:
     """Read a network written by :func:`write_layers` under the given kind."""
     header, blobs = read_checkpoint(path, kind)
-    sp = header["spec"]
+    if not isinstance(header["spec"], dict):
+        raise ValueError(f"{path}: spec is {header['spec']!r}, not a table")
+    sp = _Fields(path, "spec key", header["spec"])
     for key, want in _ACTIVATIONS.items():
         if sp.get(key) != want:
             raise ValueError(f"{path}: {key} is {sp.get(key)!r}, but every network is"
@@ -285,12 +299,3 @@ def read_layers(path, kind: str) -> tuple[MlpParams, dict, dict[str, np.ndarray]
         [blobs[f"b{i:03d}"] for i in range(nlayers)],
     )
     return params, header, blobs
-
-
-def save_mlp(path, params: MlpParams, extra: dict | None = None) -> None:
-    write_layers(path, params, {"kind": "mlp", "extra": extra} if extra else {"kind": "mlp"})
-
-
-def load_mlp(path) -> tuple[MlpParams, dict]:
-    params, header, _ = read_layers(path, "mlp")
-    return params, header.get("extra", {})

@@ -29,12 +29,6 @@ class MaternConfig:
             raise ValueError("correlation length and marginal std must be positive")
 
 
-def matern_cov(xi, xj, cfg: MaternConfig) -> float:
-    """Closed-form Matern covariance between two points (Euclidean distance)."""
-    d = float(np.linalg.norm(np.asarray(xi, dtype=float) - np.asarray(xj, dtype=float)))
-    return float(_matern_of_distance(np.array(d), cfg))
-
-
 def _matern_of_distance(d: np.ndarray, cfg: MaternConfig) -> np.ndarray:
     x = np.sqrt(2.0 * cfg.nu) * d / cfg.length
     s2 = cfg.sigma**2
@@ -63,11 +57,6 @@ def unit_square_grid(n: int) -> np.ndarray:
     c = (np.arange(n) + 0.5) * h
     xx, yy = np.meshgrid(c, c, indexing="ij")
     return np.column_stack([xx.ravel(), yy.ravel()])
-
-
-def line_grid(n: int, length: float = 1.0) -> np.ndarray:
-    """n evenly spaced points on [0, length]."""
-    return np.linspace(0.0, length, n)
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +116,11 @@ def kl_decompose(cov: np.ndarray) -> KlBasis:
     return KlBasis(lam[order], psi[:, order])
 
 
-def sample_field(basis: KlBasis, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One truncated-expansion draw: sum_i sqrt(lambda_i) m_i psi_i, i <= n."""
-    return sample_fields(basis, n, 1, rng)[0]
-
-
 def sample_fields(
     basis: KlBasis, n: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Batch of truncated-expansion draws, shape (count, field_dim)."""
+    """Batch of truncated-expansion draws sum_i sqrt(lambda_i) m_i psi_i, i <= n,
+    shape (count, field_dim)."""
     if not 1 <= n <= basis.size:
         raise ValueError(f"truncation {n} outside [1, {basis.size}]")
     coeff = rng.standard_normal(size=(count, n))
@@ -167,26 +152,9 @@ class BoxPrior:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    @property
-    def widths(self) -> np.ndarray:
-        return self.upper - self.lower
-
-    def contains(self, point) -> bool:
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        return bool(np.all(p >= self.lower) and np.all(p <= self.upper))
-
-    def log_density(self, point) -> float:
-        if not self.contains(point):
-            return -np.inf
-        return float(-np.sum(np.log(self.widths)))
-
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         shape = (self.dim,) if size is None else (size, self.dim)
         return rng.uniform(self.lower, self.upper, size=shape)
-
-    @property
-    def mean(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
 
 
 @dataclass(frozen=True)
@@ -198,11 +166,3 @@ class LatentPrior:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("latent dimension must be >= 1")
-
-    def log_density(self, z) -> float:
-        z = np.asarray(z, dtype=float)
-        return float(-0.5 * np.dot(z, z) - 0.5 * self.dim * np.log(2.0 * np.pi))
-
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        shape = (self.dim,) if size is None else (size, self.dim)
-        return rng.standard_normal(size=shape)

@@ -4,7 +4,8 @@ The workhorse is a multinomial no-U-turn sampler at unit mass: trajectories
 grow by tree doubling until the momentum turns against the endpoint
 displacement, proposals are drawn from the whole tree with weights exp(-H),
 and the step size adapts by dual averaging toward a target acceptance
-statistic during warmup.  Subtrees and the trajectory grow by one rule, `_merge`.
+statistic during warmup.  Subtrees and the trajectory grow by one rule, `_merge`,
+from one private leapfrog step, `_leap`; no leapfrog is exported.
 A metric L L^T is applied from outside, by sampling u in z = z_bar + L u.  A
 random-walk Metropolis step is provided as a derivative-free baseline.
 
@@ -15,7 +16,6 @@ z -> logp.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +23,9 @@ import numpy as np
 __all__ = [
     "HmcConfig",
     "Chain",
-    "leapfrog",
     "nuts_sample",
     "mh_step",
     "mh_sample",
-    "ergodic_average",
     "find_reasonable_epsilon",
 ]
 
@@ -74,34 +72,6 @@ class Chain:
     def acceptance_rate(self) -> float:
         return float(np.mean(self.accepted[self.burn_in :]))
 
-    def to_csv(self, path) -> None:
-        dim = self.samples.shape[1]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["sample_index", "accepted", "log_density"]
-                + [f"z{i + 1}" for i in range(dim)]
-            )
-            writer.writerow(["burn_in", int(self.burn_in), "", *[""] * dim])
-            for i in range(len(self)):
-                writer.writerow(
-                    [i, int(self.accepted[i]), repr(float(self.log_densities[i]))]
-                    + [repr(float(v)) for v in self.samples[i]]
-                )
-
-    @classmethod
-    def from_csv(cls, path) -> "Chain":
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        header, marker, body = rows[0], rows[1], rows[2:]
-        dim = len(header) - 3
-        if marker[0] != "burn_in":
-            raise ValueError("missing burn-in marker row")
-        samples = np.array([[float(v) for v in r[3 : 3 + dim]] for r in body])
-        logps = np.array([float(r[2]) for r in body])
-        accepted = np.array([bool(int(r[1])) for r in body])
-        return cls(samples, logps, accepted, int(marker[1]))
-
 
 def _as_target(target):
     if callable(target):
@@ -120,7 +90,10 @@ class _Point:
 
 
 def _leap(target, pt: _Point, eps: float) -> _Point:
-    """Leapfrog step reusing the cached log-density gradient at the endpoint."""
+    """The one leapfrog step: half kick, full drift at unit mass, half kick.
+
+    Reuses the cached log-density gradient at the start point.
+    """
     p = pt.p + 0.5 * eps * pt.grad
     z = pt.z + eps * p
     logp, grad = target(z)
@@ -129,24 +102,6 @@ def _leap(target, pt: _Point, eps: float) -> _Point:
         raise ValueError("non-finite potential gradient in leapfrog")
     p = p + 0.5 * eps * grad
     return _Point(z=z, p=p, logp=float(logp), grad=grad)
-
-
-def leapfrog(z, p, eps: float, grad_u):
-    """One symplectic step of the Hamiltonian flow: the step NUTS takes.
-
-    grad_u returns the potential gradient (the negative log-density gradient).
-    Half kick, full drift at unit mass, half kick.
-    """
-    z = np.asarray(z, dtype=float)
-
-    def target(x):
-        return 0.0, -np.asarray(grad_u(x), dtype=float)
-
-    _, grad = target(z)
-    if not np.all(np.isfinite(grad)):
-        raise ValueError("non-finite potential gradient in leapfrog")
-    pt = _leap(target, _Point(z, np.asarray(p, dtype=float), 0.0, grad), eps)
-    return pt.z, pt.p
 
 
 def _energy(pt: _Point) -> float:
@@ -342,12 +297,3 @@ def mh_sample(
         logps[i] = logp
         moved[i] = acc
     return Chain(samples, logps, moved, warmup)
-
-
-def ergodic_average(chain: Chain, f) -> np.ndarray | float:
-    """Mean of f over the post-burn-in samples."""
-    kept = chain.post_burn()
-    if kept.shape[0] == 0:
-        raise ValueError("no post-burn-in samples")
-    vals = np.array([f(z) for z in kept], dtype=float)
-    return vals.mean(axis=0)

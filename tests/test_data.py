@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mcgan.data import Dataset, load_dataset, save_dataset
+from mcgan.nnet import read_checkpoint, write_checkpoint
 
 
 def assert_same_dataset(a: Dataset, b: Dataset):
@@ -34,15 +35,6 @@ class TestRoundTrip:
         save_dataset(tmp_path / "d.bin", ds)
         assert_same_dataset(ds, load_dataset(tmp_path / "d.bin"))
 
-    def test_zero_width_parameter_block(self, tmp_path):
-        rng = np.random.default_rng(2)
-        ds = Dataset.from_raw("state-only", rng.normal(size=(5, 3)), np.zeros((5, 0)))
-        assert ds.n_param == 0 and ds.norm.param_shift.shape == (0,)
-        save_dataset(tmp_path / "d.bin", ds)
-        loaded = load_dataset(tmp_path / "d.bin")
-        assert_same_dataset(ds, loaded)
-        assert loaded.norm.param_scale.shape == (0,)
-
 
 class TestValidation:
     def test_parameters_outside_box_rejected(self):
@@ -55,3 +47,18 @@ class TestValidation:
         ds = Dataset.from_raw("darcy", np.ones((3, 4)) + np.arange(4), np.ones((3, 2)))
         with pytest.raises(ValueError, match="row width"):
             Dataset("darcy", ds.rows, ds.n_state + 1, ds.n_param, ds.norm)
+
+    def test_zero_width_parameter_block_rejected(self, tmp_path):
+        # every row carries a parameter block, in memory and in a file
+        rng = np.random.default_rng(2)
+        states = rng.normal(size=(5, 3))
+        with pytest.raises(ValueError, match="n_param is 0"):
+            Dataset.from_raw("state-only", states, np.zeros((5, 0)))
+        path = tmp_path / "d.bin"
+        save_dataset(path, Dataset.from_raw("d", states, rng.normal(size=(5, 1))))
+        header, blobs = read_checkpoint(path, "dataset")
+        header["n_param"] = 0
+        blobs.update(param_shift=np.zeros(0), param_scale=np.ones(0), rows=blobs["rows"][:, :3])
+        write_checkpoint(path, header, blobs)
+        with pytest.raises(ValueError, match="n_param is 0"):
+            load_dataset(path)

@@ -17,7 +17,7 @@ from mcgan.forward import (
     solve_pipe,
 )
 from mcgan.forward.darcy import CG_RTOL, P_LEFT, prolong_cellwise, restrict_cellwise
-from mcgan.priors import MaternConfig, kl_decompose, matern_covariance_matrix, sample_field, unit_square_grid
+from mcgan.priors import MaternConfig, kl_decompose, matern_covariance_matrix, sample_fields, unit_square_grid
 
 
 def dense_tpfa(k: np.ndarray):
@@ -118,7 +118,7 @@ class TestDarcy:
         pts = unit_square_grid(16)
         cov = matern_covariance_matrix(pts, MaternConfig())
         basis = kl_decompose(cov)
-        m16 = sample_field(basis, 64, np.random.default_rng(11)).reshape(16, 16)
+        m16 = sample_fields(basis, 64, 1, np.random.default_rng(11))[0].reshape(16, 16)
         k16 = np.exp(m16)
         p = {}
         for n in (16, 32, 64):

@@ -14,8 +14,8 @@ from mcgan.gan import (
     TrainingDiverged,
     _critic_step,
     _generator_step,
+    _moment_rrmse,
     load_generator,
-    moment_convergence,
     save_generator,
     train_gan,
 )
@@ -44,16 +44,13 @@ def tiny_dataset(box: bool = True) -> Dataset:
 def tiny_generator(kind: str, rng) -> Generator:
     """An untrained generator over tiny_dataset's 4 state columns, shaped by kind."""
     ds = tiny_dataset(kind == "tanh_head")
-    norm, n_param = ds.norm, ds.n_param
-    if kind == "state_only":
-        norm = Dataset.from_raw("state", ds.denormalized()[:, :4], np.zeros((32, 0))).norm
-        n_param = 0
+    norm = ds.norm
     if kind == "tiny_scale":  # a pressure-like column: physical rows round it away
         shift, scale = norm.state_shift.copy(), norm.state_scale.copy()
         shift[1], scale[1] = 5e6, 1e-9
         norm = replace(norm, state_shift=shift, state_scale=scale)
-    spec = MlpSpec((3, *((8, 6) if kind == "two_hidden" else (8,)), 4 + n_param))
-    return Generator(init_params(spec, rng), 4, n_param, norm)
+    spec = MlpSpec((3, *((8, 6) if kind == "two_hidden" else (8,)), 6))
+    return Generator(init_params(spec, rng), 4, 2, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +74,7 @@ def disc_loss_node(tape, d_spec, d_nodes, real, fake, eps, gp_weight):
 
 def raw_nodes(gen, layer_nodes, z_node):
     out = mlp_forward_nodes(gen.params.spec, layer_nodes, z_node)
-    if gen.n_param and gen.norm.param_tanh:
+    if gen.norm.param_tanh:
         state = out.slice(0, gen.n_state)
         par = out.slice(gen.n_state, gen.n_state + gen.n_param).tanh()
         out = concat([state, par])
@@ -102,6 +99,7 @@ def tape_train(dataset, cfg):
     d_state = RmspropState.for_params(d_params, cfg.lr)
     ref_rows = dataset.denormalized()
     assert len(ref_rows) <= 2048  # no monitor subsample to draw
+    ref_mean, ref_std = ref_rows.mean(axis=0), ref_rows.std(axis=0)
     rows, n = dataset.rows, len(dataset)
     bs = min(cfg.batch_size, n)
     diag = TrainDiagnostics()
@@ -126,8 +124,8 @@ def tape_train(dataset, cfg):
                 l_g = mlp_forward(d_params, fake_node).mean().scale(-1.0)
                 g_losses.append(float(l_g.value))
                 apply_step(g_state, g_params, l_g, g_nodes)
-        rm, rs = moment_convergence(
-            gen, ref_rows, cfg.n_diag_samples,
+        rm, rs = _moment_rrmse(
+            gen, ref_mean, ref_std, cfg.n_diag_samples,
             np.random.default_rng(cfg.seed + 7919 + epoch),
         )
         diag.append(epoch, np.mean(d_losses), np.mean(g_losses), rm, rs)
@@ -310,21 +308,21 @@ class TestClosedFormTraining:
         cfg = GanConfig(latent_dim=2, batch_size=16, epochs=2, hidden=(8, 6), n_diag_samples=8)
         train_gan(tiny_dataset(), cfg)
 
-    @pytest.mark.parametrize("kind", ["tanh_head", "z_scored", "state_only"])
+    @pytest.mark.parametrize("kind", ["tanh_head", "z_scored"])
     def test_push_batch_matches_blockwise_denormalisation(self, kind):
         rng = np.random.default_rng(2)
         gen = tiny_generator(kind, rng)
-        norm, n_param = gen.norm, gen.n_param
+        norm = gen.norm
         z = rng.standard_normal((20, 3))
         rows = gen.raw_batch(z)
-        want = norm.denormalize_state(rows[:, :4])
-        if n_param:
-            want = np.concatenate([want, norm.denormalize_params(rows[:, 4:])], axis=1)
+        want = np.concatenate(
+            [norm.denormalize_state(rows[:, :4]), norm.denormalize_params(rows[:, 4:])], axis=1
+        )
         np.testing.assert_array_equal(gen.push_batch(z), want)
 
 
 @pytest.mark.parametrize(
-    "kind", ["tanh_head", "z_scored", "state_only", "two_hidden", "tiny_scale"]
+    "kind", ["tanh_head", "z_scored", "two_hidden", "tiny_scale"]
 )
 def test_closed_form_moments_match_the_normalised_rows(kind):
     rng = np.random.default_rng(6)
@@ -353,6 +351,25 @@ def test_posterior_stats_std_matches_the_normalised_rows():
     stats = posterior_stats(z, gen)
     want = gen.raw_batch(z)[:, :4].std(axis=0)
     np.testing.assert_allclose(stats.q_std / gen.norm.state_scale, want, rtol=0.0, atol=1e-12)
+
+
+def test_zero_width_parameter_block_rejected(tmp_path):
+    # every generated row carries a parameter block, in memory and in a file
+    rng = np.random.default_rng(5)
+    gen = tiny_generator("z_scored", rng)
+    state_only = replace(gen.norm, param_shift=np.zeros(0), param_scale=np.ones(0))
+    with pytest.raises(ValueError, match="n_param is 0"):
+        Generator(init_params(MlpSpec((3, 8, 4)), rng), 4, 0, state_only)
+    path = tmp_path / "g.bin"
+    save_generator(path, gen)
+    header, blobs = read_checkpoint(path, "generator")
+    header["n_param"] = 0
+    header["spec"]["widths"][-1] = 4
+    blobs.update(param_shift=np.zeros(0), param_scale=np.ones(0),
+                 w001=blobs["w001"][:, :4], b001=blobs["b001"][:4])
+    write_checkpoint(path, header, blobs)
+    with pytest.raises(ValueError, match="n_param is 0"):
+        load_generator(path)
 
 
 def test_exploding_learning_rate_raises_training_diverged():

@@ -11,12 +11,10 @@ from mcgan.nnet import (
     MlpSpec,
     RmspropState,
     init_params,
-    load_mlp,
     mlp_apply,
     mlp_forward,
     read_checkpoint,
     rmsprop_step,
-    save_mlp,
     write_checkpoint,
 )
 
@@ -154,35 +152,31 @@ class TestInit:
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(17)
-        params = init_params(MlpSpec((3, 4, 2)), rng)
-        path = tmp_path / "net.mcgw"
-        save_mlp(path, params, extra={"note": "unit"})
-        loaded, extra = load_mlp(path)
-        assert extra == {"note": "unit"}
-        assert loaded.spec == params.spec
-        for a, b in zip(loaded.tensors(), params.tensors()):
+        ds = Dataset.from_raw("d", rng.normal(size=(4, 2)), rng.normal(size=(4, 2)))
+        gen = Generator(init_params(MlpSpec((3, 4, 4)), rng), 2, 2, ds.norm, {"note": "unit"})
+        path = tmp_path / "gen.mcgw"
+        save_generator(path, gen)
+        loaded = load_generator(path)
+        assert loaded.meta == {"note": "unit"}
+        assert loaded.params.spec == gen.params.spec
+        for a, b in zip(loaded.params.tensors(), gen.params.tensors()):
             np.testing.assert_array_equal(a, b)
         # write the loaded copy back: file bytes identical
-        path2 = tmp_path / "net2.mcgw"
-        save_mlp(path2, loaded, extra=extra)
+        path2 = tmp_path / "gen2.mcgw"
+        save_generator(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(ValueError):
-            load_mlp(p)
+            load_generator(p)
 
 
 def write_dataset(path):
     rng = np.random.default_rng(0)
     save_dataset(path, Dataset.from_raw("d", rng.normal(size=(4, 3)), rng.normal(size=(4, 2))))
     return load_dataset
-
-
-def write_mlp(path):
-    save_mlp(path, init_params(MlpSpec((3, 4, 2)), np.random.default_rng(1)))
-    return load_mlp
 
 
 def write_generator(path):
@@ -200,7 +194,7 @@ DAMAGE = {
 
 
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
-@pytest.mark.parametrize("write", [write_dataset, write_mlp, write_generator])
+@pytest.mark.parametrize("write", [write_dataset, write_generator])
 def test_damaged_container_rejected(tmp_path, write, damage):
     path = tmp_path / "file.bin"
     load = write(path)
@@ -211,7 +205,7 @@ def test_damaged_container_rejected(tmp_path, write, damage):
 
 
 @pytest.mark.parametrize("key", ["hidden_activation", "output_activation"])
-@pytest.mark.parametrize("write, kind", [(write_mlp, "mlp"), (write_generator, "generator")])
+@pytest.mark.parametrize("write, kind", [(write_generator, "generator")])
 def test_tanh_network_file_rejected(tmp_path, write, kind, key):
     # a file from a network of another shape must not load as leaky-ReLU
     path = tmp_path / "file.bin"
@@ -221,4 +215,35 @@ def test_tanh_network_file_rejected(tmp_path, write, kind, key):
     header["spec"][key] = "tanh"
     write_checkpoint(path, header, blobs)
     with pytest.raises(ValueError, match=re.escape(str(path))):
+        load(path)
+
+
+MISSING = [
+    *(("dataset", "header", k) for k in ("problem", "n_state", "n_param", "param_tanh")),
+    *(("dataset", "blob", k) for k in ("rows", "param_shift", "param_scale")),
+    *(("generator", "header", k) for k in ("n_state", "n_param", "param_tanh", "spec")),
+    ("generator", "spec", "widths"),
+    *(("generator", "blob", k) for k in ("param_shift", "param_scale", "w000", "b000", "b001")),
+]
+
+
+@pytest.mark.parametrize("kind, part, key", MISSING, ids=["-".join(m) for m in MISSING])
+def test_missing_key_named_with_the_path(tmp_path, kind, part, key):
+    # a well-formed container that lacks a field the loader reads
+    path = tmp_path / "file.bin"
+    load = (write_dataset if kind == "dataset" else write_generator)(path)
+    header, blobs = read_checkpoint(path, kind)
+    del {"header": header, "blob": blobs, "spec": header.get("spec")}[part][key]
+    write_checkpoint(path, header, blobs)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + repr(key)):
+        load(path)
+
+
+def test_spec_that_is_not_a_table_rejected(tmp_path):
+    path = tmp_path / "file.bin"
+    load = write_generator(path)
+    header, blobs = read_checkpoint(path, "generator")
+    header["spec"] = "leaky_relu"
+    write_checkpoint(path, header, blobs)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*not a table"):
         load(path)
