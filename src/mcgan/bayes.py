@@ -8,20 +8,21 @@ MCMC only need density ratios and gradients, which come from one forward pass
 and its hand-written adjoint.
 
 Generators are duck-typed: anything exposing `latent_dim`, `n_state`,
-`n_param`, `push(z)`, `moments(z)` and `observed(z, idx)` works.  `moments`
+`n_param`, `push(z)`, `moments(z)` and `observer(idx)` works.  `moments`
 returns the pointwise mean and std of G over a batch of latent rows, and
-`observed` the observed state values and the map from a cotangent on them
-back to z, which keeps the module usable with analytic stand-ins (linear
-maps) for conjugate cross-checks.
+`observer` a map z -> (observed state values, back), built once per posterior,
+with back carrying a cotangent on them to z.  Analytic stand-ins (linear maps)
+serve the conjugate cross-checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NonFiniteError, as_tensor
+from .autodiff import NonFiniteError
 from .priors import LatentPrior
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -64,6 +65,7 @@ class LatentPosterior:
         std = noise.expanded(op.n_obs)
         self._inv_std = 1.0 / std
         self._loglik_const = float(-np.sum(np.log(std)) - 0.5 * op.n_obs * LOG_2PI)
+        self._observe = generator.observer(op.indices)
 
     def _forward(self, z):
         """The log posterior at z, and a thunk for its gradient: one pass, one adjoint.
@@ -71,22 +73,24 @@ class LatentPosterior:
         The operations follow the tape route kept as the oracle in the tests, in
         the same order, so value and gradient agree with it bit for bit.
         """
-        z = as_tensor(z)
-        log_prior = np.sum(z * z) * -0.5 + self._prior_const
-        h, back = self.generator.observed(z, self.op.indices)
+        log_prior = (z * z).sum() * -0.5 + self._prior_const
+        h, back = self._observe(z)
         s = (self.y - h) * self._inv_std
-        log_lik = np.sum(s * s) * -0.5 + self._loglik_const
+        log_lik = (s * s).sum() * -0.5 + self._loglik_const
         return float(log_lik + log_prior), lambda: back(s * self._inv_std) - z
 
     def logp_and_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
         val, grad = self._forward(z)
         grad = grad()
-        if not (np.isfinite(val) and np.all(np.isfinite(grad))):
+        if not (math.isfinite(val) and np.isfinite(grad).all()):
             raise NonFiniteError("non-finite log posterior or gradient")
         return val, grad
 
     def log_unnorm(self, z: np.ndarray) -> float:
-        return self._forward(z)[0]
+        val = self._forward(z)[0]
+        if not math.isfinite(val):
+            raise NonFiniteError("non-finite log posterior")
+        return val
 
     def push(self, z: np.ndarray) -> np.ndarray:
         return self.generator.push(np.asarray(z, dtype=float))
@@ -122,11 +126,9 @@ def map_estimate(post: LatentPosterior, cfg: MapConfig) -> np.ndarray:
             val, grad = post.logp_and_grad(z)
         except (NonFiniteError, ValueError):
             continue
-        if not np.isfinite(val):
-            continue
         step = INITIAL_STEP
         for _ in range(cfg.steps):
-            gnorm2 = float(np.dot(grad, grad))
+            gnorm2 = float(grad @ grad)
             if gnorm2 < 1e-24:
                 break
             accepted = False
@@ -136,7 +138,7 @@ def map_estimate(post: LatentPosterior, cfg: MapConfig) -> np.ndarray:
                     v_try, g_try = post.logp_and_grad(z_try)
                 except (NonFiniteError, ValueError):
                     v_try = -np.inf
-                if np.isfinite(v_try) and v_try >= val + ARMIJO_C * step * gnorm2:
+                if v_try >= val + ARMIJO_C * step * gnorm2:
                     z, val, grad = z_try, v_try, g_try
                     accepted = True
                     break
@@ -192,6 +194,8 @@ class LinearGenerator:
         rows = np.atleast_2d(z) @ self.a.T + self.offset
         return rows.mean(axis=0), rows.std(axis=0)
 
-    def observed(self, z, idx):
-        a = self.a[idx, :]
-        return a @ z + self.offset[idx], lambda cot: a.T @ cot
+    def observer(self, idx):
+        if np.any(np.asarray(idx) >= self.n_state):
+            raise IndexError("observed indices must fall inside the state block")
+        a, offset = self.a[idx, :], self.offset[idx]
+        return lambda z: (a @ z + offset, lambda cot: a.T @ cot)

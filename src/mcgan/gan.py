@@ -13,8 +13,8 @@ RMSProp.
 
 The trained :class:`Generator` carries the de-normalization maps, exposes
 plain sampling, closed-form pointwise moments for the training monitor and
-the posterior statistics, and a column-sliced "observed head" so the latent
-posterior touches only the output entries the sensors read.
+the posterior statistics, and `observer(idx)`, whose head is column-sliced once
+so the latent posterior touches only the output entries the sensors read.
 """
 
 from __future__ import annotations
@@ -163,16 +163,19 @@ class Generator:
             self.norm.state_shift[idx],
         )
 
-    def observed(self, z: np.ndarray, idx):
-        """Observed state values at z, and the map from a cotangent on them back to z."""
+    def observer(self, idx):
+        """z -> (observed state values, back to z for a cotangent on them).  The head
+        is sliced here, once, so build this after training; IndexError off the state block."""
         w, b, scale, shift = self._head(idx)
-        ins, slopes = mlp_hidden_pass(self.params, z)
         weights = [*self.params.weights[:-1], w]
 
-        def back(cot):
-            return mlp_cotangents(weights, slopes, cot * scale)[0] @ weights[0].T
+        def observe(z):
+            ins, slopes = mlp_hidden_pass(self.params, z)
+            def back(cot):
+                return mlp_cotangents(weights, slopes, cot * scale)[0] @ weights[0].T
+            return (ins[-1] @ w + b) * scale + shift, back
 
-        return (ins[-1] @ w + b) * scale + shift, back
+        return observe
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ z -> logp.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,7 @@ def _as_target(target):
     raise TypeError("target must be callable or expose logp_and_grad")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Point:
     z: np.ndarray
     p: np.ndarray
@@ -98,14 +99,14 @@ def _leap(target, pt: _Point, eps: float) -> _Point:
     z = pt.z + eps * p
     logp, grad = target(z)
     grad = np.asarray(grad, dtype=float)
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise ValueError("non-finite potential gradient in leapfrog")
     p = p + 0.5 * eps * grad
     return _Point(z=z, p=p, logp=float(logp), grad=grad)
 
 
 def _energy(pt: _Point) -> float:
-    return -pt.logp + 0.5 * float(np.dot(pt.p, pt.p))
+    return -pt.logp + 0.5 * float(pt.p @ pt.p)
 
 
 def find_reasonable_epsilon(target, z, rng) -> float:
@@ -134,7 +135,7 @@ def find_reasonable_epsilon(target, z, rng) -> float:
     return eps
 
 
-@dataclass
+@dataclass(slots=True)
 class _Tree:
     minus: _Point
     plus: _Point
@@ -148,7 +149,7 @@ class _Tree:
 
 def _is_turning(minus: _Point, plus: _Point) -> bool:
     dz = plus.z - minus.z
-    return float(np.dot(dz, minus.p)) < 0.0 or float(np.dot(dz, plus.p)) < 0.0
+    return dz @ minus.p < 0.0 or dz @ plus.p < 0.0
 
 
 def _merge(first: _Tree, second: _Tree, direction, rng) -> _Tree:
@@ -181,10 +182,12 @@ def _build_tree(target, pt, direction, depth, eps, h0, rng) -> _Tree:
         except ValueError:
             h1 = np.inf
             nxt = pt
-        delta = h1 - h0 if np.isfinite(h1) else np.inf
-        divergent = not np.isfinite(delta) or delta > DIVERGENCE_THRESHOLD
-        log_w = -delta if np.isfinite(delta) else -np.inf
-        alpha = float(np.exp(min(0.0, -delta))) if np.isfinite(delta) else 0.0
+        delta = h1 - h0  # only read when finite
+        finite = math.isfinite(delta)
+        divergent = not finite or delta > DIVERGENCE_THRESHOLD
+        log_w = -delta if finite else -math.inf
+        # np.exp, not math.exp: the two differ in the last bit on some inputs
+        alpha = float(np.exp(min(0.0, -delta))) if finite else 0.0
         return _Tree(
             minus=nxt, plus=nxt, proposal=nxt, log_weight=log_w,
             alpha_sum=alpha, n_alpha=1, turning=False, divergent=divergent,

@@ -157,8 +157,37 @@ class TestLatentPosterior:
     def test_non_finite_latent_rejected(self):
         rng = np.random.default_rng(1)
         post = observed_posterior(mlp_generator(rng), rng)
+        z = np.array([0.0, np.nan, 0.0, 0.0])
         with pytest.raises(NonFiniteError):
-            post.logp_and_grad(np.array([0.0, np.nan, 0.0, 0.0]))
+            post.logp_and_grad(z)
+        with pytest.raises(NonFiniteError):
+            post.log_unnorm(z)
+
+    @pytest.mark.parametrize("kind", ["leaky_relu", "linear"])
+    def test_index_outside_state_block_fails_at_construction(self, kind):
+        rng = np.random.default_rng(3)
+        gen = mlp_generator(rng) if kind == "leaky_relu" else LinearGenerator(
+            rng.normal(size=(12, 4)), n_param=3
+        )
+        # index 10 lies in the parameter block of the 12-wide row
+        op = ObservationOp(indices=[2, 10], noise_std=0.1, state_len=12)
+        with pytest.raises(IndexError, match="state block"):
+            LatentPosterior(gen, op, GaussianNoise(0.1), np.zeros(2))
+
+    def test_head_sliced_once_per_posterior(self, monkeypatch):
+        calls = []
+        head = Generator._head
+
+        def spy(self, idx):
+            calls.append(idx)
+            return head(self, idx)
+
+        monkeypatch.setattr(Generator, "_head", spy)
+        rng = np.random.default_rng(0)
+        post = observed_posterior(mlp_generator(rng), rng)
+        for _ in range(100):
+            post.logp_and_grad(rng.standard_normal(4))
+        assert len(calls) == 1
 
     def test_gradient_matches_analytic_linear_gaussian(self):
         rng = np.random.default_rng(0)
