@@ -4,8 +4,10 @@ The workhorse is a multinomial no-U-turn sampler at unit mass: trajectories
 grow by tree doubling until the momentum turns against the endpoint
 displacement, proposals are drawn from the whole tree with weights exp(-H),
 and the step size adapts by dual averaging toward a target acceptance
-statistic during warmup.  Subtrees and the trajectory grow by one rule, `_merge`,
-from one private leapfrog step, `_leap`; no leapfrog is exported.
+statistic during warmup.  `_double` builds each doubling leaf by leaf, with
+no recursion and no per-leaf objects; the trajectory and its subtrees merge
+there by one rule.  One private leapfrog step, `_leap`, serves it and the
+initial step-size search; no leapfrog is exported.
 A metric L L^T is applied from outside, by sampling u in z = z_bar + L u.  A
 random-walk Metropolis step is provided as a derivative-free baseline.
 
@@ -20,6 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .autodiff import NonFiniteError
 
 __all__ = [
     "HmcConfig",
@@ -82,31 +86,23 @@ def _as_target(target):
     raise TypeError("target must be callable or expose logp_and_grad")
 
 
-@dataclass(slots=True)
-class _Point:
-    z: np.ndarray
-    p: np.ndarray
-    logp: float
-    grad: np.ndarray  # gradient of logp
-
-
-def _leap(target, pt: _Point, eps: float) -> _Point:
+def _leap(target, z, p, grad, eps):
     """The one leapfrog step: half kick, full drift at unit mass, half kick.
 
-    Reuses the cached log-density gradient at the start point.
+    Starts from the cached log-density gradient at z and returns
+    (z, p, logp, grad, kinetic) at the end point.  A non-finite end gradient
+    always makes the momentum, and so the kinetic energy, non-finite: the one
+    check on the kinetic energy covers both.
     """
-    p = pt.p + 0.5 * eps * pt.grad
-    z = pt.z + eps * p
+    p = p + 0.5 * eps * grad
+    z = z + eps * p
     logp, grad = target(z)
     grad = np.asarray(grad, dtype=float)
-    if not np.isfinite(grad).all():
-        raise ValueError("non-finite potential gradient in leapfrog")
     p = p + 0.5 * eps * grad
-    return _Point(z=z, p=p, logp=float(logp), grad=grad)
-
-
-def _energy(pt: _Point) -> float:
-    return -pt.logp + 0.5 * float(pt.p @ pt.p)
+    kinetic = 0.5 * float(p @ p)
+    if not math.isfinite(kinetic):
+        raise ValueError("non-finite momentum or potential gradient in leapfrog")
+    return z, p, float(logp), grad, kinetic
 
 
 def find_reasonable_epsilon(target, z, rng) -> float:
@@ -114,18 +110,18 @@ def find_reasonable_epsilon(target, z, rng) -> float:
     target = _as_target(target)
     z = np.asarray(z, dtype=float)
     logp, grad = target(z)
+    grad = np.asarray(grad, float)
     eps = 1.0
     p = rng.standard_normal(z.shape)
-    pt = _Point(z=z, p=p, logp=float(logp), grad=np.asarray(grad, float))
-    h0 = _energy(pt)
+    h0 = -float(logp) + 0.5 * float(p @ p)
 
     def log_ratio(e):
         try:
-            nxt = _leap(target, pt, e)
-        except ValueError:
+            _, _, logp1, _, kinetic = _leap(target, z, p, grad, e)
+        except (ValueError, NonFiniteError):
             return -np.inf
-        h1 = _energy(nxt)
-        return h0 - h1 if np.isfinite(h1) else -np.inf
+        h1 = -logp1 + kinetic
+        return h0 - h1 if math.isfinite(h1) else -np.inf
 
     direction = 1.0 if log_ratio(eps) > np.log(0.5) else -1.0
     for _ in range(60):
@@ -135,70 +131,59 @@ def find_reasonable_epsilon(target, z, rng) -> float:
     return eps
 
 
-@dataclass(slots=True)
-class _Tree:
-    minus: _Point
-    plus: _Point
-    proposal: _Point
-    log_weight: float
-    alpha_sum: float
-    n_alpha: int
-    turning: bool
-    divergent: bool
+def _double(target, near, trajectory, forward, eps, h0, rng):
+    """Double the trajectory by leapfrog steps from its end `near` = (z, p, grad).
 
+    `trajectory` = (size, log_weight, alpha_sum, proposal, z_far, p_far) sits
+    at the bottom of a stack of finished halves, and two halves of one size
+    merge as soon as the second is complete.  That is the recursion's order, so
+    the RNG draws and every sum are its own.  A merge adds the weights, moves
+    the proposal to the second half's with probability w2 / (w1 + w2), sums the
+    acceptance statistics and stops on a U-turn across the merged span; a
+    divergent leaf, or one of non-finite energy, stops too.
 
-def _is_turning(minus: _Point, plus: _Point) -> bool:
-    dz = plus.z - minus.z
-    return dz @ minus.p < 0.0 or dz @ plus.p < 0.0
-
-
-def _merge(first: _Tree, second: _Tree, direction, rng) -> _Tree:
-    """Extend the valid trajectory `first` by `second`, built on its `direction` side.
-
-    Weights add, the proposal moves to second's with probability w2 / (w1 + w2)
-    and the acceptance statistics sum.  An invalid second invalidates the result.
+    Returns (stop, divergent, n_leaves, near, log_weight, alpha_sum, proposal).
     """
-    minus = first.minus if direction > 0 else second.minus
-    plus = second.plus if direction > 0 else first.plus
-    merged = _Tree(
-        minus, plus, first.proposal, -np.inf, first.alpha_sum + second.alpha_sum,
-        first.n_alpha + second.n_alpha, turning=True, divergent=second.divergent,
-    )
-    if second.divergent or second.turning:
-        return merged
-    # a valid subtree has a finite weight: a leaf with a non-finite energy is divergent
-    merged.log_weight = float(np.logaddexp(first.log_weight, second.log_weight))
-    if np.log(rng.uniform()) < second.log_weight - merged.log_weight:
-        merged.proposal = second.proposal
-    merged.turning = _is_turning(minus, plus)
-    return merged
-
-
-def _build_tree(target, pt, direction, depth, eps, h0, rng) -> _Tree:
-    if depth == 0:
+    z, p, grad = near
+    step = eps if forward else -eps
+    stack = [trajectory]
+    n = trajectory[0]
+    for i in range(1, n + 1):
         try:
-            nxt = _leap(target, pt, direction * eps)
-            h1 = _energy(nxt)
-        except ValueError:
-            h1 = np.inf
-            nxt = pt
-        delta = h1 - h0  # only read when finite
-        finite = math.isfinite(delta)
-        divergent = not finite or delta > DIVERGENCE_THRESHOLD
-        log_w = -delta if finite else -math.inf
+            z, p, logp, grad, kinetic = _leap(target, z, p, grad, step)
+            delta = -logp + kinetic - h0
+        except (ValueError, NonFiniteError):
+            delta = math.inf
+        if not math.isfinite(delta) or delta > DIVERGENCE_THRESHOLD:
+            # exp(-delta) underflows to 0 past the threshold
+            return _stopped(stack, 0.0, None, True, i)
         # np.exp, not math.exp: the two differ in the last bit on some inputs
-        alpha = float(np.exp(min(0.0, -delta))) if finite else 0.0
-        return _Tree(
-            minus=nxt, plus=nxt, proposal=nxt, log_weight=log_w,
-            alpha_sum=alpha, n_alpha=1, turning=False, divergent=divergent,
-        )
+        alpha = 1.0 if delta <= 0.0 else float(np.exp(-delta))
+        size, log_w, proposal, z_first, p_first = 1, -delta, (z, logp, grad), z, p
+        while stack and stack[-1][0] == size:
+            size0, log_w0, alpha0, proposal0, z_first, p_first = stack.pop()
+            size += size0
+            merged = float(np.logaddexp(log_w0, log_w))
+            if not np.log(rng.random()) < log_w - merged:
+                proposal = proposal0
+            log_w = merged
+            alpha = alpha0 + alpha
+            dz = z - z_first if forward else z_first - z
+            if dz @ p_first < 0.0 or dz @ p < 0.0:
+                return _stopped(stack, alpha, proposal, False, i)
+        stack.append((size, log_w, alpha, proposal, z_first, p_first))
+    _, log_w, alpha, proposal, _, _ = stack[0]
+    return False, False, n, (z, p, grad), log_w, alpha, proposal
 
-    first = _build_tree(target, pt, direction, depth - 1, eps, h0, rng)
-    if first.divergent or first.turning:
-        return first
-    start = first.plus if direction > 0 else first.minus
-    second = _build_tree(target, start, direction, depth - 1, eps, h0, rng)
-    return _merge(first, second, direction, rng)
+
+def _stopped(stack, alpha, proposal, divergent, n):
+    """A stop discards the halves above the trajectory but for their acceptance
+    statistics, which fold in from the right as they return up the recursion."""
+    for entry in reversed(stack):
+        alpha = entry[2] + alpha
+    if stack:
+        proposal = stack[0][3]
+    return True, divergent, n, None, -math.inf, alpha, proposal
 
 
 def nuts_sample(target, cfg: HmcConfig, n_samples: int, z0) -> Chain:
@@ -219,6 +204,8 @@ def nuts_sample(target, cfg: HmcConfig, n_samples: int, z0) -> Chain:
     logp, grad = target_fn(z)
     logp = float(logp)
     grad = np.asarray(grad, dtype=float)
+    if not (math.isfinite(logp) and np.isfinite(grad).all()):
+        raise ValueError("non-finite log density or gradient at the start point z0")
 
     eps = find_reasonable_epsilon(target_fn, z, rng)
     mu = np.log(10.0 * eps)
@@ -231,33 +218,36 @@ def nuts_sample(target, cfg: HmcConfig, n_samples: int, z0) -> Chain:
     all_divergent_warmup = 0
 
     for m in range(n_samples):
-        current = _Point(z=z, p=rng.standard_normal(dim), logp=logp, grad=grad)
-        h0 = _energy(current)
+        p = rng.standard_normal(dim)
+        h0 = -logp + 0.5 * float(p @ p)
+        current = (z, logp, grad)
+        minus = plus = (z, p, grad)
         # the initial point carries weight exp(-(h0 - h0)) = 1
-        tree = _Tree(
-            minus=current, plus=current, proposal=current, log_weight=0.0,
-            alpha_sum=0.0, n_alpha=0, turning=False, divergent=False,
-        )
+        log_weight, alpha_sum, proposal, n_alpha = 0.0, 0.0, current, 0
         nondivergent_expansion = False
         for depth in range(cfg.max_tree_depth):
-            direction = 1 if rng.uniform() < 0.5 else -1
-            start = tree.plus if direction > 0 else tree.minus
-            sub = _build_tree(target_fn, start, direction, depth, eps, h0, rng)
-            if not sub.divergent:
+            forward = rng.random() < 0.5
+            near, far = (plus, minus) if forward else (minus, plus)
+            # after `depth` doublings the trajectory holds 2**depth points
+            trajectory = (1 << depth, log_weight, alpha_sum, proposal, far[0], far[1])
+            stop, divergent, n, end, log_weight, alpha_sum, proposal = _double(
+                target_fn, near, trajectory, forward, eps, h0, rng
+            )
+            n_alpha += n
+            if not divergent:
                 nondivergent_expansion = True
-            tree = _merge(tree, sub, direction, rng)
-            if tree.turning:
+            if stop:
                 break
+            plus, minus = (end, minus) if forward else (plus, end)
 
         if m < cfg.warmup and not nondivergent_expansion:
             all_divergent_warmup += 1
-        selected = tree.proposal
-        moved[m] = selected is not current
-        z, logp, grad = selected.z, selected.logp, selected.grad
+        moved[m] = proposal is not current
+        z, logp, grad = proposal
         samples[m] = z
         logps[m] = logp
 
-        accept_stat = tree.alpha_sum / max(tree.n_alpha, 1)
+        accept_stat = alpha_sum / max(n_alpha, 1)
         if m < cfg.warmup:
             frac = 1.0 / (m + 1 + t0)
             h_bar = (1.0 - frac) * h_bar + frac * (cfg.target_accept - accept_stat)
@@ -280,7 +270,7 @@ def mh_step(target_logp, z, logp: float, proposal_std: float, rng):
     z = np.asarray(z, dtype=float)
     proposal = z + rng.normal(0.0, proposal_std, size=z.shape)
     lp_new = float(target_logp(proposal))
-    if np.log(rng.uniform()) < lp_new - logp:
+    if np.log(rng.random()) < lp_new - logp:
         return proposal, lp_new, True
     return z, logp, False
 

@@ -1,11 +1,19 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from mcgan.autodiff import NonFiniteError
+from mcgan.bayes import GaussianNoise, LatentPosterior
+from mcgan.data import Normalization
+from mcgan.forward import ObservationOp
+from mcgan.gan import Generator
+from mcgan.nnet import MlpSpec, init_params
 from mcgan.samplers import (
     Chain,
     HmcConfig,
     _leap,
-    _Point,
     find_reasonable_epsilon,
     mh_sample,
     mh_step,
@@ -25,8 +33,8 @@ def leapfrog(z, p, eps, grad_u):
         return 0.0, -np.asarray(grad_u(x), dtype=float)
 
     z = np.asarray(z, dtype=float)
-    pt = _leap(target, _Point(z, np.asarray(p, dtype=float), 0.0, target(z)[1]), eps)
-    return pt.z, pt.p
+    z, p, _, _, _ = _leap(target, z, np.asarray(p, dtype=float), target(z)[1], eps)
+    return z, p
 
 
 def correlated_gaussian_target(rho):
@@ -116,16 +124,40 @@ class TestNuts:
         assert chain.burn_in == 50
         assert chain.post_burn().shape == (150, 1)
 
+    @staticmethod
+    def assert_stays_in_box(boxed):
+        chain = nuts_sample(boxed, HmcConfig(warmup=200, seed=3), 2200, np.zeros(2))
+        assert np.all(np.abs(chain.samples) <= 1.0)
+        assert np.all(np.isfinite(chain.log_densities))
+        assert chain.acceptance_rate > 0.5
+
     def test_never_leaves_a_box_of_finite_density(self):
         # a standard normal cut to [-1, 1]^2: every leaf outside is divergent
         def boxed(z):
             logp = -0.5 * float(z @ z) if np.all(np.abs(z) <= 1.0) else -np.inf
             return logp, -z
 
-        chain = nuts_sample(boxed, HmcConfig(warmup=200, seed=3), 2200, np.zeros(2))
-        assert np.all(np.abs(chain.samples) <= 1.0)
-        assert np.all(np.isfinite(chain.log_densities))
-        assert chain.acceptance_rate > 0.5
+        self.assert_stays_in_box(boxed)
+
+    def test_non_finite_error_is_a_divergent_leaf(self):
+        # the latent posterior reports a non-finite value as NonFiniteError, a RuntimeError
+        def boxed(z):
+            if not np.all(np.abs(z) <= 1.0):
+                raise NonFiniteError("non-finite log posterior")
+            return -0.5 * float(z @ z), -z
+
+        self.assert_stays_in_box(boxed)
+
+    @pytest.mark.parametrize("warmup", [0, 10])
+    @pytest.mark.parametrize("bad", ["logp", "grad"])
+    def test_non_finite_start_rejected(self, bad, warmup):
+        def target(z):
+            if bad == "logp":
+                return -np.inf, -z
+            return 0.0, np.full_like(z, np.nan)
+
+        with pytest.raises(ValueError, match="start point"):
+            nuts_sample(target, HmcConfig(warmup=warmup, seed=0), 20, np.ones(2))
 
     def test_all_divergent_warmup_raises(self):
         # finite only at the start point, so every leapfrog leaf diverges
@@ -232,3 +264,218 @@ class TestChainIo:
         rng = np.random.default_rng(0)
         eps = find_reasonable_epsilon(std_normal_target, np.zeros(5), rng)
         assert 0.01 < eps < 10.0
+
+
+# The recursive no-U-turn sampler that the unrolled doubling replaced, kept as
+# its oracle: every draw, log density, move flag and target call must agree.
+@dataclass(slots=True)
+class Point:
+    z: np.ndarray
+    p: np.ndarray
+    logp: float
+    grad: np.ndarray
+
+
+@dataclass(slots=True)
+class Tree:
+    minus: Point
+    plus: Point
+    proposal: Point
+    log_weight: float
+    alpha_sum: float
+    n_alpha: int
+    turning: bool
+    divergent: bool
+
+
+def rec_leap(target, pt: Point, eps: float) -> Point:
+    p = pt.p + 0.5 * eps * pt.grad
+    z = pt.z + eps * p
+    logp, grad = target(z)
+    grad = np.asarray(grad, dtype=float)
+    if not np.isfinite(grad).all():
+        raise ValueError("non-finite potential gradient in leapfrog")
+    p = p + 0.5 * eps * grad
+    return Point(z=z, p=p, logp=float(logp), grad=grad)
+
+
+def energy(pt: Point) -> float:
+    return -pt.logp + 0.5 * float(pt.p @ pt.p)
+
+
+def rec_epsilon(target, z, rng) -> float:
+    logp, grad = target(z)
+    eps = 1.0
+    p = rng.standard_normal(z.shape)
+    pt = Point(z=z, p=p, logp=float(logp), grad=np.asarray(grad, float))
+    h0 = energy(pt)
+
+    def log_ratio(e):
+        try:
+            nxt = rec_leap(target, pt, e)
+        except ValueError:
+            return -np.inf
+        h1 = energy(nxt)
+        return h0 - h1 if np.isfinite(h1) else -np.inf
+
+    direction = 1.0 if log_ratio(eps) > np.log(0.5) else -1.0
+    for _ in range(60):
+        if direction * log_ratio(eps) <= direction * np.log(0.5):
+            break
+        eps *= 2.0**direction
+    return eps
+
+
+def merge(first: Tree, second: Tree, direction, rng) -> Tree:
+    minus = first.minus if direction > 0 else second.minus
+    plus = second.plus if direction > 0 else first.plus
+    merged = Tree(
+        minus, plus, first.proposal, -np.inf, first.alpha_sum + second.alpha_sum,
+        first.n_alpha + second.n_alpha, turning=True, divergent=second.divergent,
+    )
+    if second.divergent or second.turning:
+        return merged
+    merged.log_weight = float(np.logaddexp(first.log_weight, second.log_weight))
+    if np.log(rng.uniform()) < second.log_weight - merged.log_weight:
+        merged.proposal = second.proposal
+    dz = plus.z - minus.z
+    merged.turning = bool(dz @ minus.p < 0.0 or dz @ plus.p < 0.0)
+    return merged
+
+
+def build_tree(target, pt, direction, depth, eps, h0, rng) -> Tree:
+    if depth == 0:
+        try:
+            nxt = rec_leap(target, pt, direction * eps)
+            h1 = energy(nxt)
+        except ValueError:
+            h1 = np.inf
+            nxt = pt
+        delta = h1 - h0
+        finite = math.isfinite(delta)
+        divergent = not finite or delta > 1000.0
+        log_w = -delta if finite else -math.inf
+        alpha = float(np.exp(min(0.0, -delta))) if finite else 0.0
+        return Tree(nxt, nxt, nxt, log_w, alpha, 1, turning=False, divergent=divergent)
+    first = build_tree(target, pt, direction, depth - 1, eps, h0, rng)
+    if first.divergent or first.turning:
+        return first
+    start = first.plus if direction > 0 else first.minus
+    second = build_tree(target, start, direction, depth - 1, eps, h0, rng)
+    return merge(first, second, direction, rng)
+
+
+def recursive_nuts(target, cfg: HmcConfig, n_samples: int, z0) -> Chain:
+    rng = np.random.default_rng(cfg.seed)
+    z = np.asarray(z0, dtype=float).copy()
+    logp, grad = target(z)
+    logp, grad = float(logp), np.asarray(grad, dtype=float)
+    eps = rec_epsilon(target, z, rng)
+    mu = np.log(10.0 * eps)
+    log_eps_bar, h_bar = 0.0, 0.0
+    samples = np.empty((n_samples, z.size))
+    logps = np.empty(n_samples)
+    moved = np.zeros(n_samples, dtype=bool)
+    for m in range(n_samples):
+        current = Point(z=z, p=rng.standard_normal(z.size), logp=logp, grad=grad)
+        h0 = energy(current)
+        tree = Tree(current, current, current, 0.0, 0.0, 0, turning=False, divergent=False)
+        for depth in range(cfg.max_tree_depth):
+            direction = 1 if rng.uniform() < 0.5 else -1
+            start = tree.plus if direction > 0 else tree.minus
+            sub = build_tree(target, start, direction, depth, eps, h0, rng)
+            tree = merge(tree, sub, direction, rng)
+            if tree.turning:
+                break
+        moved[m] = tree.proposal is not current
+        z, logp, grad = tree.proposal.z, tree.proposal.logp, tree.proposal.grad
+        samples[m] = z
+        logps[m] = logp
+        accept_stat = tree.alpha_sum / max(tree.n_alpha, 1)
+        if m < cfg.warmup:
+            frac = 1.0 / (m + 11.0)
+            h_bar = (1.0 - frac) * h_bar + frac * (cfg.target_accept - accept_stat)
+            log_eps = mu - np.sqrt(m + 1.0) / 0.05 * h_bar
+            eta = (m + 1.0) ** (-0.75)
+            log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar
+            eps = float(np.exp(log_eps))
+        elif m == cfg.warmup and cfg.warmup > 0:
+            eps = float(np.exp(log_eps_bar))
+    return Chain(samples, logps, moved, cfg.warmup)
+
+
+def oracle_targets():
+    """Name -> (target, z0): smooth, cut, non-finite, raising and funnel-shaped."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((8, 8))
+    prec = a @ a.T / 8 + 0.1 * np.eye(8)
+
+    def gauss(z):
+        return -0.5 * float(z @ prec @ z), -prec @ z
+
+    def box(z):
+        return (-0.5 * float(z @ z) if np.all(np.abs(z) <= 1.0) else -np.inf), -z
+
+    def nan_grad(z):
+        return -0.5 * float(z @ z), (-z if np.all(np.abs(z) <= 1.5) else np.full_like(z, np.nan))
+
+    def inf_grad(z):
+        grad = -z
+        if not np.all(np.abs(z) <= 1.5):
+            grad[0] = np.inf
+        return -0.5 * float(z @ z), grad
+
+    def raising(z):
+        if not np.all(np.abs(z) <= 1.2):
+            raise ValueError("outside the support")
+        return -0.5 * float(z @ z), -z
+
+    def funnel(z):
+        v, x = z[0], z[1:]
+        scale, xx = np.exp(-v), float(x @ x)
+        grad = np.concatenate([[-v / 9.0 + 0.5 * xx * scale - 0.5 * x.size], -x * scale])
+        return -v * v / 18.0 - 0.5 * xx * scale - 0.5 * x.size * v, grad
+
+    n_state, n_param = 9, 3
+    norm = Normalization(
+        rng.normal(size=n_state), rng.uniform(0.5, 2.0, n_state),
+        rng.normal(size=n_param), rng.uniform(0.5, 2.0, n_param), False,
+    )
+    gen = Generator(init_params(MlpSpec((4, 16, 8, n_state + n_param)), rng), n_state, n_param, norm)
+    idx = np.array([7, 0, 3, 5, 8])
+    std = rng.uniform(0.05, 0.3, idx.size)
+    op = ObservationOp(indices=idx, noise_std=std, state_len=n_state)
+    post = LatentPosterior(gen, op, GaussianNoise(std), rng.normal(size=idx.size))
+
+    z8 = np.zeros(8)
+    return {
+        "gauss": (gauss, z8), "box": (box, z8), "nan_grad": (nan_grad, z8),
+        "inf_grad": (inf_grad, z8), "raising": (raising, z8), "funnel": (funnel, z8),
+        "posterior": (post.logp_and_grad, np.zeros(4)),
+    }
+
+
+ORACLE_TARGETS = oracle_targets()
+
+
+class TestRecursiveOracle:
+    @pytest.mark.parametrize("depth", [1, 3, 10])
+    @pytest.mark.parametrize("name", sorted(ORACLE_TARGETS))
+    def test_bit_equal_to_recursive_doubling(self, name, depth):
+        fn, z0 = ORACLE_TARGETS[name]
+        for seed in (depth, depth + 100):
+            runs = []
+            for sampler in (recursive_nuts, nuts_sample):
+                calls = []
+
+                def target(z):
+                    calls.append(None)
+                    return fn(z)
+
+                chain = sampler(target, HmcConfig(warmup=30, max_tree_depth=depth, seed=seed), 60, z0)
+                runs.append((chain.samples, chain.log_densities, chain.accepted, len(calls)))
+            (s0, lp0, m0, n0), (s1, lp1, m1, n1) = runs
+            np.testing.assert_array_equal(s1, s0)
+            np.testing.assert_array_equal(lp1, lp0)
+            np.testing.assert_array_equal(m1, m0)
+            assert n1 == n0
