@@ -2,10 +2,11 @@
 
 The latent posterior replaces the PDE forward map with the trained generator:
 log rho(z | y) = log rho_eta(y - h(G(z))) + log rho_z(z), unnormalized.  Every
-posterior carries an observation operator, a noise model and sensor data y;
-there is no prior-only mode.  The evidence is never computed; MAP search and
-MCMC only need density ratios and gradients, which come from one forward pass
-and its hand-written adjoint.
+posterior carries an observation operator (the sensor sites h), a noise model
+rho_eta and sensor data y; there is no prior-only mode.  `GaussianNoise` is the
+one statement of the noise: the operator carries none.  The evidence is never
+computed; MAP search and MCMC only need density ratios and gradients, which
+come from one forward pass and its hand-written adjoint.
 
 Generators are duck-typed: anything exposing `latent_dim`, `n_state`,
 `n_param`, `push(z)`, `moments(z)` and `observer(idx)` works.  `moments`
@@ -116,7 +117,8 @@ BACKTRACK = 0.5
 
 
 def map_estimate(post: LatentPosterior, cfg: MapConfig) -> np.ndarray:
-    """Gradient ascent with Armijo backtracking from several Gaussian starts."""
+    """Gradient ascent with Armijo backtracking from several Gaussian starts.  A
+    NonFiniteError skips a restart or fails a trial step; other errors propagate."""
     rng = np.random.default_rng(cfg.seed)
     dim = post.latent_prior.dim
     best_val, best_z = -np.inf, None
@@ -124,7 +126,7 @@ def map_estimate(post: LatentPosterior, cfg: MapConfig) -> np.ndarray:
         z = rng.standard_normal(dim)
         try:
             val, grad = post.logp_and_grad(z)
-        except (NonFiniteError, ValueError):
+        except NonFiniteError:
             continue
         step = INITIAL_STEP
         for _ in range(cfg.steps):
@@ -136,7 +138,7 @@ def map_estimate(post: LatentPosterior, cfg: MapConfig) -> np.ndarray:
                 z_try = z + step * grad
                 try:
                     v_try, g_try = post.logp_and_grad(z_try)
-                except (NonFiniteError, ValueError):
+                except NonFiniteError:
                     v_try = -np.inf
                 if v_try >= val + ARMIJO_C * step * gnorm2:
                     z, val, grad = z_try, v_try, g_try

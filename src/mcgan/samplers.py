@@ -1,19 +1,20 @@
-"""MCMC engines over differentiable log-densities.
+"""The no-U-turn sampler over a differentiable log-density.
 
-The workhorse is a multinomial no-U-turn sampler at unit mass: trajectories
-grow by tree doubling until the momentum turns against the endpoint
-displacement, proposals are drawn from the whole tree with weights exp(-H),
-and the step size adapts by dual averaging toward a target acceptance
-statistic during warmup.  `_double` builds each doubling leaf by leaf, with
-no recursion and no per-leaf objects; the trajectory and its subtrees merge
-there by one rule.  One private leapfrog step, `_leap`, serves it and the
-initial step-size search; no leapfrog is exported.
-A metric L L^T is applied from outside, by sampling u in z = z_bar + L u.  A
-random-walk Metropolis step is provided as a derivative-free baseline.
+A multinomial no-U-turn sampler at unit mass: trajectories grow by tree
+doubling until the momentum turns against the endpoint displacement, proposals
+are drawn from the whole tree with weights exp(-H), and the step size adapts by
+dual averaging toward a target acceptance statistic during warmup.  `_double`
+builds each doubling leaf by leaf, with no recursion and no per-leaf objects;
+the trajectory and its subtrees merge there by one rule.  One private leapfrog
+step, `_leap`, serves it and the initial step-size search, `_initial_step`,
+which starts from the start point's cached density and gradient, so a chain
+evaluates its start once.
+A metric L L^T is applied from outside, by sampling u in z = z_bar + L u.
 
 Targets are duck-typed: either a callable z -> (logp, grad) or an object with
-a `logp_and_grad` method (the latent posterior).  Random-walk MH only needs
-z -> logp.
+a `logp_and_grad` method (the latent posterior).  A target reports a point of
+non-finite density or gradient by returning it or by raising NonFiniteError;
+either makes a divergent leaf.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -25,14 +26,7 @@ import numpy as np
 
 from .autodiff import NonFiniteError
 
-__all__ = [
-    "HmcConfig",
-    "Chain",
-    "nuts_sample",
-    "mh_step",
-    "mh_sample",
-    "find_reasonable_epsilon",
-]
+__all__ = ["HmcConfig", "Chain", "nuts_sample"]
 
 DIVERGENCE_THRESHOLD = 1000.0
 
@@ -101,24 +95,21 @@ def _leap(target, z, p, grad, eps):
     p = p + 0.5 * eps * grad
     kinetic = 0.5 * float(p @ p)
     if not math.isfinite(kinetic):
-        raise ValueError("non-finite momentum or potential gradient in leapfrog")
+        raise NonFiniteError("non-finite momentum or potential gradient in leapfrog")
     return z, p, float(logp), grad, kinetic
 
 
-def find_reasonable_epsilon(target, z, rng) -> float:
-    """Double or halve the step until one leapfrog step crosses 1/2 acceptance."""
-    target = _as_target(target)
-    z = np.asarray(z, dtype=float)
-    logp, grad = target(z)
-    grad = np.asarray(grad, float)
+def _initial_step(target, z, logp: float, grad, rng) -> float:
+    """Double or halve the step until one leapfrog step from z crosses 1/2
+    acceptance (Hoffman & Gelman 2014, Algorithm 4); (logp, grad) are z's own."""
     eps = 1.0
     p = rng.standard_normal(z.shape)
-    h0 = -float(logp) + 0.5 * float(p @ p)
+    h0 = -logp + 0.5 * float(p @ p)
 
     def log_ratio(e):
         try:
             _, _, logp1, _, kinetic = _leap(target, z, p, grad, e)
-        except (ValueError, NonFiniteError):
+        except NonFiniteError:
             return -np.inf
         h1 = -logp1 + kinetic
         return h0 - h1 if math.isfinite(h1) else -np.inf
@@ -152,7 +143,7 @@ def _double(target, near, trajectory, forward, eps, h0, rng):
         try:
             z, p, logp, grad, kinetic = _leap(target, z, p, grad, step)
             delta = -logp + kinetic - h0
-        except (ValueError, NonFiniteError):
+        except NonFiniteError:
             delta = math.inf
         if not math.isfinite(delta) or delta > DIVERGENCE_THRESHOLD:
             # exp(-delta) underflows to 0 past the threshold
@@ -207,7 +198,7 @@ def nuts_sample(target, cfg: HmcConfig, n_samples: int, z0) -> Chain:
     if not (math.isfinite(logp) and np.isfinite(grad).all()):
         raise ValueError("non-finite log density or gradient at the start point z0")
 
-    eps = find_reasonable_epsilon(target_fn, z, rng)
+    eps = _initial_step(target_fn, z, logp, grad, rng)
     mu = np.log(10.0 * eps)
     log_eps_bar, h_bar = 0.0, 0.0
     gamma, t0, kappa = 0.05, 10.0, 0.75
@@ -261,32 +252,3 @@ def nuts_sample(target, cfg: HmcConfig, n_samples: int, z0) -> Chain:
     if cfg.warmup > 0 and all_divergent_warmup == cfg.warmup:
         raise RuntimeError("every warmup step diverged on all tree expansions")
     return Chain(samples, logps, moved, cfg.warmup)
-
-
-def mh_step(target_logp, z, logp: float, proposal_std: float, rng):
-    """Gaussian random-walk Metropolis transition; returns (z, logp, accepted)."""
-    if not proposal_std > 0:
-        raise ValueError("proposal std must be positive")
-    z = np.asarray(z, dtype=float)
-    proposal = z + rng.normal(0.0, proposal_std, size=z.shape)
-    lp_new = float(target_logp(proposal))
-    if np.log(rng.random()) < lp_new - logp:
-        return proposal, lp_new, True
-    return z, logp, False
-
-
-def mh_sample(
-    target_logp, z0, n_samples: int, proposal_std: float, seed: int = 0, warmup: int = 0
-) -> Chain:
-    rng = np.random.default_rng(seed)
-    z = np.asarray(z0, dtype=float).copy()
-    logp = float(target_logp(z))
-    samples = np.empty((n_samples, z.size))
-    logps = np.empty(n_samples)
-    moved = np.zeros(n_samples, dtype=bool)
-    for i in range(n_samples):
-        z, logp, acc = mh_step(target_logp, z, logp, proposal_std, rng)
-        samples[i] = z
-        logps[i] = logp
-        moved[i] = acc
-    return Chain(samples, logps, moved, warmup)

@@ -79,7 +79,7 @@ SEEDS = {"leaky_relu": 0, "linear": 1, "tanh_param_head": 2}
 def observed_posterior(gen, rng):
     idx = np.array([7, 0, 3, 5, 8])
     std = rng.uniform(0.05, 0.3, idx.size)
-    op = ObservationOp(indices=idx, noise_std=std, state_len=gen.n_state)
+    op = ObservationOp(indices=idx, state_len=gen.n_state)
     return LatentPosterior(gen, op, GaussianNoise(std), rng.normal(size=idx.size))
 
 
@@ -92,20 +92,20 @@ def state_log_likelihood(u, y, op, noise):
 
 class TestLogLikelihood:
     def test_zero_residual_constant(self):
-        op = ObservationOp(indices=[0, 2], noise_std=1.0, state_len=4)
+        op = ObservationOp(indices=[0, 2], state_len=4)
         u = np.array([1.0, 5.0, -2.0, 3.0])
         y = u[[0, 2]]
         assert state_log_likelihood(u, y, op, GaussianNoise(1.0)) == pytest.approx(-LOG2PI)
 
     def test_hand_evaluated_residual(self):
-        op = ObservationOp(indices=[0, 1], noise_std=1.0, state_len=2)
+        op = ObservationOp(indices=[0, 1], state_len=2)
         u = np.zeros(2)
         y = np.array([3.0, 4.0])
         got = state_log_likelihood(u, y, op, GaussianNoise(1.0))
         assert got == pytest.approx(-12.5 - LOG2PI)
 
     def test_vector_noise(self):
-        op = ObservationOp(indices=[0], noise_std=3000.0, state_len=1)
+        op = ObservationOp(indices=[0], state_len=1)
         got = state_log_likelihood(np.zeros(1), np.array([3000.0]), op, GaussianNoise(3000.0))
         assert got == pytest.approx(-0.5 - np.log(3000.0) - 0.5 * LOG2PI)
 
@@ -113,8 +113,12 @@ class TestLogLikelihood:
         for std in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="noise std"):
                 GaussianNoise(std)
-            with pytest.raises(ValueError, match="noise std"):
-                ObservationOp(indices=[0], noise_std=std, state_len=1)
+
+    def test_per_channel_length_checked_at_construction(self):
+        # the noise model is the one place that states the noise, so it is checked there
+        op = ObservationOp(indices=[0, 1], state_len=2)
+        with pytest.raises(ValueError, match="noise std length"):
+            LatentPosterior(LinearGenerator(np.eye(2)), op, GaussianNoise([1.0, 2.0, 3.0]), [0.0, 0.0])
 
 
 class TestLatentPosterior:
@@ -123,7 +127,7 @@ class TestLatentPosterior:
         # log post = -||z||^2 - Nz log 2pi, gradient -2 z
         dim = 3
         gen = LinearGenerator(np.eye(dim))
-        op = ObservationOp(indices=np.arange(dim), noise_std=1.0, state_len=dim)
+        op = ObservationOp(indices=np.arange(dim), state_len=dim)
         post = LatentPosterior(gen, op, GaussianNoise(1.0), np.zeros(dim))
         z = np.array([0.5, -1.0, 2.0])
         val, grad = post.logp_and_grad(z)
@@ -170,7 +174,7 @@ class TestLatentPosterior:
             rng.normal(size=(12, 4)), n_param=3
         )
         # index 10 lies in the parameter block of the 12-wide row
-        op = ObservationOp(indices=[2, 10], noise_std=0.1, state_len=12)
+        op = ObservationOp(indices=[2, 10], state_len=12)
         with pytest.raises(IndexError, match="state block"):
             LatentPosterior(gen, op, GaussianNoise(0.1), np.zeros(2))
 
@@ -196,7 +200,7 @@ class TestLatentPosterior:
         sigma = 0.7
         y = rng.normal(size=3)
         gen = LinearGenerator(a)
-        op = ObservationOp(indices=idx, noise_std=sigma, state_len=6)
+        op = ObservationOp(indices=idx, state_len=6)
         post = LatentPosterior(gen, op, GaussianNoise(sigma), y)
         z = rng.normal(size=3)
         _, grad = post.logp_and_grad(z)
@@ -208,7 +212,7 @@ class TestLatentPosterior:
         rng = np.random.default_rng(4)
         a = rng.normal(size=(5, 2))
         gen = LinearGenerator(a)
-        op = ObservationOp(indices=[1, 3], noise_std=0.5, state_len=5)
+        op = ObservationOp(indices=[1, 3], state_len=5)
         post = LatentPosterior(gen, op, GaussianNoise(0.5), rng.normal(size=2))
         z = rng.normal(size=2)
         _, grad = post.logp_and_grad(z)
@@ -221,7 +225,7 @@ class TestLatentPosterior:
 
     def test_dimension_mismatch_rejected(self):
         gen = LinearGenerator(np.eye(2))
-        op = ObservationOp(indices=[0], noise_std=1.0, state_len=2)
+        op = ObservationOp(indices=[0], state_len=2)
         with pytest.raises(ValueError):
             LatentPosterior(gen, op, GaussianNoise(1.0), np.zeros(3))
 
@@ -229,7 +233,7 @@ class TestLatentPosterior:
 class TestMapEstimate:
     def test_pure_prior_mode_is_origin(self):
         # the latent point cannot move the one observation: the prior, shifted
-        op = ObservationOp(indices=[0], noise_std=1.0, state_len=4)
+        op = ObservationOp(indices=[0], state_len=4)
         post = LatentPosterior(LinearGenerator(np.zeros((4, 4))), op, GaussianNoise(1.0), [0.3])
         z = map_estimate(post, MapConfig(steps=200, restarts=3, seed=1))
         np.testing.assert_allclose(z, 0.0, atol=1e-6)
@@ -242,7 +246,7 @@ class TestMapEstimate:
         z_true = rng.normal(size=4)
         y = a @ z_true + rng.normal(0, sigma, size=8)
         gen = LinearGenerator(a)
-        op = ObservationOp(indices=idx, noise_std=sigma, state_len=8)
+        op = ObservationOp(indices=idx, state_len=8)
         post = LatentPosterior(gen, op, GaussianNoise(sigma), y)
         z_map = map_estimate(post, MapConfig(steps=3000, restarts=3, seed=2))
         mean, _ = conjugate_posterior(a, idx, sigma, y)
@@ -252,7 +256,7 @@ class TestMapEstimate:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(5, 3))
         gen = LinearGenerator(a)
-        op = ObservationOp(indices=np.arange(5), noise_std=1.0, state_len=5)
+        op = ObservationOp(indices=np.arange(5), state_len=5)
         post = LatentPosterior(gen, op, GaussianNoise(1.0), rng.normal(size=5))
         cfg = MapConfig(steps=100, restarts=5, seed=11)
         z_map = map_estimate(post, cfg)
@@ -269,7 +273,7 @@ class TestMapEstimate:
         y = rng.normal(size=4)
         shift = 1.5
         gen = LinearGenerator(a)
-        op = ObservationOp(indices=idx, noise_std=sigma, state_len=4)
+        op = ObservationOp(indices=idx, state_len=4)
         cfg = MapConfig(steps=4000, restarts=2, seed=0)
         z1 = map_estimate(post1 := LatentPosterior(gen, op, GaussianNoise(sigma), y), cfg)
         z2 = map_estimate(
@@ -282,16 +286,47 @@ class TestMapEstimate:
         )
         assert post1.log_unnorm(z1) >= post1.log_unnorm(m1) - 1e-10
 
-
     def test_programming_error_propagates(self):
-        class Broken(LatentPosterior):
-            def logp_and_grad(self, z):
-                raise TypeError("broken target")
+        # only NonFiniteError means a point of non-finite density
+        for error in (TypeError, ValueError):
 
-        op = ObservationOp(indices=[0], noise_std=1.0, state_len=2)
-        post = Broken(LinearGenerator(np.eye(2)), op, GaussianNoise(1.0), [0.0])
-        with pytest.raises(TypeError, match="broken target"):
-            map_estimate(post, MapConfig(steps=5, restarts=2))
+            class Broken(LatentPosterior):
+                def logp_and_grad(self, z):
+                    raise error("broken target")
+
+            op = ObservationOp(indices=[0], state_len=2)
+            post = Broken(LinearGenerator(np.eye(2)), op, GaussianNoise(1.0), [0.0])
+            with pytest.raises(error, match="broken target"):
+                map_estimate(post, MapConfig(steps=5, restarts=2))
+
+    @staticmethod
+    def failing_starts(n_bad):
+        """A conjugate posterior whose first n_bad gradient calls are non-finite."""
+
+        class Flaky(LatentPosterior):
+            calls = 0
+
+            def logp_and_grad(self, z):
+                self.calls += 1
+                if self.calls <= n_bad:
+                    raise NonFiniteError("non-finite log posterior")
+                return super().logp_and_grad(z)
+
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(6, 3))
+        op = ObservationOp(indices=np.arange(6), state_len=6)
+        return Flaky(LinearGenerator(a), op, GaussianNoise(0.5), rng.normal(size=6)), a
+
+    def test_non_finite_start_skips_its_restart(self):
+        post, a = self.failing_starts(1)
+        z_map = map_estimate(post, MapConfig(steps=3000, restarts=2, seed=2))
+        mean, _ = conjugate_posterior(a, np.arange(6), 0.5, post.y)
+        np.testing.assert_allclose(z_map, mean, atol=1e-6)
+
+    def test_every_start_non_finite_raises(self):
+        post, _ = self.failing_starts(3)
+        with pytest.raises(RuntimeError, match="every MAP restart"):
+            map_estimate(post, MapConfig(steps=5, restarts=3))
 
 
 class TestPosteriorStats:

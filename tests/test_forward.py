@@ -222,7 +222,7 @@ class TestObserve:
         np.testing.assert_allclose(y, cfg.p_outflow, rtol=1e-12)
 
     def test_darcy_sensor_layout(self):
-        op = darcy_sensor_op(16, n_sensors=100, noise_std=0.01)
+        op = darcy_sensor_op(16, n_sensors=100)
         assert op.n_obs == 100
         assert op.indices.max() < 16 * 16  # sensors live in the v1 block
         field = solve_darcy(np.ones((16, 16)), DarcyGrid(16))
@@ -233,16 +233,26 @@ class TestObserve:
         cfg = PipeConfig(nx=16, nt=16, horizon=8.0)
         state = solve_pipe(1000.0, 2e-4, cfg)
         op = pipe_sensor_op(cfg)
-        y1 = observe(pipe_state_vector(state), op, np.random.default_rng(3))
-        y2 = observe(pipe_state_vector(state), op, np.random.default_rng(3))
+        y1 = observe(pipe_state_vector(state), op, np.random.default_rng(3), 1500.0)
+        y2 = observe(pipe_state_vector(state), op, np.random.default_rng(3), 1500.0)
         np.testing.assert_array_equal(y1, y2)
-        assert not np.allclose(y1, observe(pipe_state_vector(state), op))
+        exact = observe(pipe_state_vector(state), op)
+        noise = np.random.default_rng(3).normal(0.0, 1500.0, op.n_obs)
+        np.testing.assert_allclose(y1 - exact, noise, rtol=0, atol=1e-9 * np.abs(exact).max())
+
+    def test_noise_std_validated(self):
+        # the data's noise: the posterior's GaussianNoise checks the model's
+        cfg = PipeConfig(nx=16, nt=16, horizon=8.0)
+        state = pipe_state_vector(solve_pipe(1000.0, 2e-4, cfg))
+        for std in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="noise std"):
+                observe(state, pipe_sensor_op(cfg), np.random.default_rng(0), std)
 
     def test_out_of_range_site_rejected(self):
         from mcgan.forward import ObservationOp
 
         with pytest.raises(IndexError):
-            ObservationOp(indices=[10], noise_std=1.0, state_len=10)
+            ObservationOp(indices=[10], state_len=10)
 
 
 class TestSyntheticObservations:

@@ -14,7 +14,7 @@ def test_pushforward_equality_on_conjugate_posterior(dim):
     idx = np.array([0, 2, 3])
     sigma = 0.8
     y = rng.normal(size=idx.size)
-    op = ObservationOp(indices=idx, noise_std=sigma, state_len=4)
+    op = ObservationOp(indices=idx, state_len=4)
     post = LatentPosterior(LinearGenerator(a), op, GaussianNoise(sigma), y)
     h = a[idx, :]
     cov = np.linalg.inv(np.eye(dim) + h.T @ h / sigma**2)

@@ -1,4 +1,6 @@
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -186,10 +188,39 @@ def write_generator(path):
     return load_generator
 
 
+PREFIX = struct.Struct("<4sII")  # magic, version, header length
+
+
+def with_header(raw, edit):
+    """The container raw with its JSON header bytes replaced by edit(header bytes)."""
+    magic, version, hlen = PREFIX.unpack_from(raw)
+    head = edit(raw[PREFIX.size : PREFIX.size + hlen])
+    return PREFIX.pack(magic, version, len(head)) + head + raw[PREFIX.size + hlen :]
+
+
+def first_extent(value):
+    """A header edit that sets the first blob's first extent to value."""
+
+    def edit(head):
+        header = json.loads(head)
+        header["blobs"][min(header["blobs"])][0] = value
+        return json.dumps(header).encode("utf-8")
+
+    return edit
+
+
+# name -> (damage to the file's bytes, the cause the error must name beside the path)
 DAMAGE = {
-    "six_bytes": lambda raw: raw[:6],
-    "cut_blob": lambda raw: raw[:-4],
-    "padded": lambda raw: raw + b"\0" * 8,
+    "six_bytes": (lambda raw: raw[:6], "too short"),
+    "cut_blob": (lambda raw: raw[:-4], "cut short"),
+    "padded": (lambda raw: raw + b"\0" * 8, "after the last blob"),
+    "version": (lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:], "unsupported checkpoint version 2"),
+    "header_past_end": (
+        lambda raw: raw[:8] + struct.pack("<I", len(raw)) + raw[12:], "header runs past the end"
+    ),
+    "negative_extent": (lambda raw: with_header(raw, first_extent(-1)), "malformed checkpoint header"),
+    "fractional_extent": (lambda raw: with_header(raw, first_extent(1.5)), "malformed checkpoint header"),
+    "header_not_json": (lambda raw: with_header(raw, lambda head: head[:-1]), "malformed checkpoint header"),
 }
 
 
@@ -199,8 +230,9 @@ def test_damaged_container_rejected(tmp_path, write, damage):
     path = tmp_path / "file.bin"
     load = write(path)
     load(path)
-    path.write_bytes(DAMAGE[damage](path.read_bytes()))
-    with pytest.raises(ValueError, match=re.escape(str(path))):
+    corrupt, cause = DAMAGE[damage]
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + cause):
         load(path)
 
 

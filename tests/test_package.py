@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 import sys
 try:
@@ -33,6 +34,33 @@ def test_bench_imports_resolve():
     assert not missing
 
 
+def test_bench_calls_bind_to_signatures():
+    # a dropped or renamed parameter would otherwise fail only in a bench run
+    checked, unbound = 0, []
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mcgan":
+                module = importlib.import_module(node.module)
+                imported.update((a.asname or a.name, getattr(module, a.name)) for a in node.names)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            f = imported.get(node.func.id)
+            if not callable(f):
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+                continue  # *args or **kwargs: the bound names are not in the source
+            try:
+                inspect.signature(f).bind(*node.args, **{k.arg: k.value for k in node.keywords})
+            except TypeError as exc:
+                unbound.append(f"{path.name}:{node.lineno} {node.func.id}: {exc}")
+            checked += 1
+    assert checked
+    assert unbound == []
+
+
 def test_package_imports_only_numpy_and_the_standard_library():
     # CI installs scipy and mpmath for the tests, so a stray import would pass there
     allowed = {"numpy", "mcgan"} | set(sys.stdlib_module_names)
@@ -63,7 +91,6 @@ UNCALLED = {
     "mlp_forward": "tape oracle of the array forward pass",
     "LinearGenerator": "conjugate-case oracle of the latent posterior",
     "concat": "tape oracle of the tanh parameter head",
-    "mh_sample": "replaced by pCN when the reference posteriors land",
     "w1_empirical_1d": "scores against the reference posteriors",
     "randomized_bound_trials": "the W1 theorem check gets a caller with the theorem script",
     "pushforward_equality_test": "the W1 theorem check gets a caller with the theorem script",

@@ -13,10 +13,8 @@ from mcgan.nnet import MlpSpec, init_params
 from mcgan.samplers import (
     Chain,
     HmcConfig,
+    _initial_step,
     _leap,
-    find_reasonable_epsilon,
-    mh_sample,
-    mh_step,
     nuts_sample,
 )
 
@@ -96,7 +94,7 @@ class TestLeapfrog:
 
     def test_nonfinite_gradient_rejected(self):
         # a finite start gradient, then a NaN at the end point
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(NonFiniteError, match="non-finite"):
             leapfrog(np.zeros(1), np.ones(1), 0.1, lambda z: np.array([np.nan]) if z[0] else z)
 
 
@@ -159,6 +157,28 @@ class TestNuts:
         with pytest.raises(ValueError, match="start point"):
             nuts_sample(target, HmcConfig(warmup=warmup, seed=0), 20, np.ones(2))
 
+    @pytest.mark.parametrize("error", [TypeError, ValueError])
+    def test_programming_error_propagates(self, error):
+        # only NonFiniteError makes a divergent leaf; any other error is a bug
+        def boxed(z):
+            if not np.all(np.abs(z) <= 1.0):
+                raise error("broken target")
+            return -0.5 * float(z @ z), -z
+
+        with pytest.raises(error, match="broken target"):
+            nuts_sample(boxed, HmcConfig(warmup=200, seed=3), 2200, np.zeros(2))
+
+    def test_start_point_evaluated_once(self):
+        z0 = np.array([0.3, -0.4])
+        starts = []
+
+        def target(z):
+            starts.append(np.array_equal(z, z0))
+            return std_normal_target(z)
+
+        nuts_sample(target, HmcConfig(warmup=10, seed=0), 20, z0)
+        assert sum(starts) == 1 and starts[0]
+
     def test_all_divergent_warmup_raises(self):
         # finite only at the start point, so every leapfrog leaf diverges
         def point(z):
@@ -172,76 +192,6 @@ class TestNuts:
             nuts_sample(std_normal_target, HmcConfig(warmup=10), 5, np.zeros(1))
         with pytest.raises(ValueError):
             HmcConfig(target_accept=1.5)
-
-
-class TestMh:
-    def test_uniform_box_accepts_every_inside_proposal(self):
-        def logp(z):
-            return 0.0 if np.all(np.abs(z) <= 2.0) else -np.inf
-
-        rng = np.random.default_rng(0)
-        z = np.zeros(1)
-        lp = 0.0
-        for _ in range(200):
-            z_new, lp, accepted = mh_step(logp, z, lp, 0.5, rng)
-            inside = np.all(np.abs(z_new) <= 2.0)
-            assert inside
-            if not accepted:
-                # only out-of-box proposals are refused under a flat density
-                np.testing.assert_array_equal(z_new, z)
-            z = z_new
-
-    def test_acceptance_probability_from_mode(self):
-        # from the mode of a standard normal, acceptance probability equals
-        # E[min(1, exp(-w^2/2))], w ~ N(0, s^2); quadrature oracle below
-        s = 1.0
-        w = np.linspace(-8, 8, 20001)
-        dens = np.exp(-0.5 * (w / s) ** 2) / (s * np.sqrt(2 * np.pi))
-        expected = np.trapezoid(np.minimum(1.0, np.exp(-0.5 * w**2)) * dens, w)
-
-        rng = np.random.default_rng(3)
-        accepts = 0
-        trials = 40000
-        for _ in range(trials):
-            _, _, acc = mh_step(
-                lambda z: -0.5 * float(z @ z), np.zeros(1), 0.0, s, rng
-            )
-            accepts += acc
-        assert abs(accepts / trials - expected) < 0.01
-
-    def test_standard_normal_mean(self):
-        chain = mh_sample(
-            lambda z: -0.5 * float(z @ z), np.zeros(1), 100000, 1.0, seed=5,
-            warmup=1000,
-        )
-        assert abs(chain.post_burn().mean()) < 0.02
-
-    def test_proposal_std_validated(self):
-        for std in (-1.0, float("nan")):
-            with pytest.raises(ValueError):
-                mh_step(lambda z: 0.0, np.zeros(1), 0.0, std, np.random.default_rng(0))
-
-
-class TestDetailedBalance:
-    def test_three_state_chain(self):
-        pi = np.array([0.2, 0.5, 0.3])
-        rng = np.random.default_rng(11)
-        state = 0
-        counts = np.zeros((3, 3))
-        steps = 300000
-        for _ in range(steps):
-            prop = (state + rng.integers(1, 3)) % 3  # uniform over the others
-            if rng.uniform() < min(1.0, pi[prop] / pi[state]):
-                nxt = prop
-            else:
-                nxt = state
-            counts[state, nxt] += 1
-            state = nxt
-        flow = counts / steps
-        for i in range(3):
-            for j in range(i + 1, 3):
-                scale = np.sqrt(flow[i, j] / steps) * 4 + 1e-4
-                assert abs(flow[i, j] - flow[j, i]) < scale * 3
 
 
 class TestErgodicAverage:
@@ -261,8 +211,9 @@ class TestErgodicAverage:
 
 class TestChainIo:
     def test_find_reasonable_epsilon_sane(self):
-        rng = np.random.default_rng(0)
-        eps = find_reasonable_epsilon(std_normal_target, np.zeros(5), rng)
+        # _initial_step is Hoffman & Gelman's FindReasonableEpsilon (Algorithm 4)
+        z = np.zeros(5)
+        eps = _initial_step(std_normal_target, z, *std_normal_target(z), np.random.default_rng(0))
         assert 0.01 < eps < 10.0
 
 
@@ -294,7 +245,7 @@ def rec_leap(target, pt: Point, eps: float) -> Point:
     logp, grad = target(z)
     grad = np.asarray(grad, dtype=float)
     if not np.isfinite(grad).all():
-        raise ValueError("non-finite potential gradient in leapfrog")
+        raise NonFiniteError("non-finite potential gradient in leapfrog")
     p = p + 0.5 * eps * grad
     return Point(z=z, p=p, logp=float(logp), grad=grad)
 
@@ -303,8 +254,7 @@ def energy(pt: Point) -> float:
     return -pt.logp + 0.5 * float(pt.p @ pt.p)
 
 
-def rec_epsilon(target, z, rng) -> float:
-    logp, grad = target(z)
+def rec_epsilon(target, z, logp, grad, rng) -> float:
     eps = 1.0
     p = rng.standard_normal(z.shape)
     pt = Point(z=z, p=p, logp=float(logp), grad=np.asarray(grad, float))
@@ -313,7 +263,7 @@ def rec_epsilon(target, z, rng) -> float:
     def log_ratio(e):
         try:
             nxt = rec_leap(target, pt, e)
-        except ValueError:
+        except NonFiniteError:
             return -np.inf
         h1 = energy(nxt)
         return h0 - h1 if np.isfinite(h1) else -np.inf
@@ -348,7 +298,7 @@ def build_tree(target, pt, direction, depth, eps, h0, rng) -> Tree:
         try:
             nxt = rec_leap(target, pt, direction * eps)
             h1 = energy(nxt)
-        except ValueError:
+        except NonFiniteError:
             h1 = np.inf
             nxt = pt
         delta = h1 - h0
@@ -370,7 +320,7 @@ def recursive_nuts(target, cfg: HmcConfig, n_samples: int, z0) -> Chain:
     z = np.asarray(z0, dtype=float).copy()
     logp, grad = target(z)
     logp, grad = float(logp), np.asarray(grad, dtype=float)
-    eps = rec_epsilon(target, z, rng)
+    eps = rec_epsilon(target, z, logp, grad, rng)
     mu = np.log(10.0 * eps)
     log_eps_bar, h_bar = 0.0, 0.0
     samples = np.empty((n_samples, z.size))
@@ -427,7 +377,7 @@ def oracle_targets():
 
     def raising(z):
         if not np.all(np.abs(z) <= 1.2):
-            raise ValueError("outside the support")
+            raise NonFiniteError("outside the support")
         return -0.5 * float(z @ z), -z
 
     def funnel(z):
@@ -444,7 +394,7 @@ def oracle_targets():
     gen = Generator(init_params(MlpSpec((4, 16, 8, n_state + n_param)), rng), n_state, n_param, norm)
     idx = np.array([7, 0, 3, 5, 8])
     std = rng.uniform(0.05, 0.3, idx.size)
-    op = ObservationOp(indices=idx, noise_std=std, state_len=n_state)
+    op = ObservationOp(indices=idx, state_len=n_state)
     post = LatentPosterior(gen, op, GaussianNoise(std), rng.normal(size=idx.size))
 
     z8 = np.zeros(8)
